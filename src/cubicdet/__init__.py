@@ -14,7 +14,6 @@ from .core3d import (
     ZERO,
     Axis,
     CubicMatrix,
-    Dim3,
     Index3,
     Scalar,
     ScalarOverflowError,
@@ -58,7 +57,6 @@ __all__ = [
     "Axis",
     "BatchSummary",
     "CubicMatrix",
-    "Dim3",
     "ExpansionTrace",
     "GenSpec",
     "Index3",

@@ -17,7 +17,7 @@ import sys
 
 from .core3d import Axis, CubicMatrix, Index3, ScalarOverflowError, ShapeError
 from .determinant import det_closed, det_permutation
-from .io import ParseError, parse_json, parse_text, serialize_text
+from .io import ParseError, _json_scalar, parse_json, parse_text, serialize_text
 from .laplace import ExpansionTrace, SignConvention, cofactor, det_laplace, expand, minor
 from .verify import GenSpec, batch_verify, cross_check, random_cubic
 
@@ -36,10 +36,6 @@ def _load_matrix(path: str) -> CubicMatrix:
     if text.lstrip()[:1] == "{":
         return parse_json(text)
     return parse_text(text)
-
-
-def _scalar_json(value):
-    return value.num if value.den == 1 else f"{value.num}/{value.den}"
 
 
 def _print_trace(trace: ExpansionTrace) -> None:
@@ -61,14 +57,14 @@ def _trace_json(trace: ExpansionTrace) -> dict:
                 "i": t.at.i,
                 "j": t.at.j,
                 "k": t.at.k,
-                "entry": _scalar_json(t.entry),
+                "entry": _json_scalar(t.entry),
                 "sign": t.sign,
-                "minor": _scalar_json(t.minor_value),
-                "contribution": _scalar_json(t.contribution),
+                "minor": _json_scalar(t.minor_value),
+                "contribution": _json_scalar(t.contribution),
             }
             for t in trace.terms
         ],
-        "total": _scalar_json(trace.total),
+        "total": _json_scalar(trace.total),
     }
 
 
@@ -86,12 +82,12 @@ def _cmd_det(args, parser) -> int:
     if args.trace:
         trace = expand(A, Axis.from_letter(args.axis), args.index)
         if args.json:
-            print(json.dumps({"det": _scalar_json(value), "trace": _trace_json(trace)}))
+            print(json.dumps({"det": _json_scalar(value), "trace": _trace_json(trace)}))
         else:
             _print_trace(trace)
         return 0
     if args.json:
-        print(json.dumps({"det": _scalar_json(value)}))
+        print(json.dumps({"det": _json_scalar(value)}))
     else:
         print(value)
     return 0

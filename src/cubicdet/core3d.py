@@ -30,7 +30,6 @@ __all__ = [
     "Scalar",
     "ZERO",
     "ONE",
-    "Dim3",
     "Index3",
     "Axis",
     "CubicMatrix",
@@ -97,41 +96,23 @@ class Scalar:
         self.num = num
         self.den = den
 
-    @classmethod
-    def _reduced(cls, num: int, den: int = 1) -> "Scalar":
-        # Fast path for results already known to be in lowest terms.
-        if not _NUM_MIN <= num <= _NUM_MAX:
-            raise ScalarOverflowError(f"numerator {num} outside the signed 64-bit range")
-        if den > _DEN_MAX:
-            raise ScalarOverflowError(f"denominator {den} outside the unsigned 64-bit range")
-        s = object.__new__(cls)
-        s.num = num
-        s.den = den
-        return s
-
     def __add__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
             return NotImplemented
-        if self.den == 1 and other.den == 1:
-            return Scalar._reduced(self.num + other.num)
         return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
             return NotImplemented
-        if self.den == 1 and other.den == 1:
-            return Scalar._reduced(self.num - other.num)
         return Scalar(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
             return NotImplemented
-        if self.den == 1 and other.den == 1:
-            return Scalar._reduced(self.num * other.num)
         return Scalar(self.num * other.num, self.den * other.den)
 
     def __neg__(self) -> "Scalar":
-        return Scalar._reduced(-self.num, self.den)
+        return Scalar(-self.num, self.den)
 
     def reciprocal(self) -> "Scalar":
         if self.num == 0:
@@ -171,25 +152,6 @@ def _to_scalar(value: object) -> Scalar:
     if isinstance(value, int) and not isinstance(value, bool):
         return Scalar(value)
     raise TypeError(f"matrix entries must be Scalar or int, got {value!r}")
-
-
-@dataclass(frozen=True)
-class Dim3:
-    """Counts of horizontal layers, vertical pages, and vertical layers."""
-
-    m: int
-    n: int
-    p: int
-
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1 or self.p < 1:
-            raise ShapeError(f"dimensions must be positive, got {self.m}x{self.n}x{self.p}")
-
-    def is_cubic(self) -> bool:
-        return self.m == self.n == self.p
-
-    def __str__(self) -> str:
-        return f"{self.m}x{self.n}x{self.p}"
 
 
 @dataclass(frozen=True)
@@ -262,6 +224,12 @@ def _build_delete_table() -> dict[tuple[int, int, int, int], tuple[int, ...]]:
 _DELETE_TABLE = _build_delete_table()
 
 
+def _scaled(cells: tuple[Scalar, ...]) -> tuple[int, tuple[int, ...]]:
+    """The lcm of the cells' denominators, and each cell times it."""
+    scale = math.lcm(*[c.den for c in cells])
+    return scale, tuple([c.num * (scale // c.den) for c in cells])
+
+
 class CubicMatrix:
     """A dense order-n cubic matrix (n in {1, 2, 3}) of exact scalars.
 
@@ -272,9 +240,15 @@ class CubicMatrix:
     >>> A = CubicMatrix(2, [[[4, -3], [-1, 5]], [[-2, 4], [-7, 3]]])
     >>> print(A.get(Index3(2, 1, 2)))
     -7
+
+    Alongside the cells it keeps ``_scale``, the lcm of their
+    denominators, and ``_ints``, every cell times ``_scale``.  Every
+    determinant monomial is a product of exactly ``order`` entries, so
+    the determinant is the one of ``_ints`` divided by
+    ``_scale**order``, and the determinant routes run on plain ints.
     """
 
-    __slots__ = ("order", "_cells", "_ints")
+    __slots__ = ("order", "_cells", "_scale", "_ints")
 
     def __init__(self, order: int, layers):
         if not isinstance(order, int) or isinstance(order, bool) or order < 1:
@@ -303,27 +277,14 @@ class CubicMatrix:
                 cells.extend(_to_scalar(v) for v in values)
         self.order = order
         self._cells = tuple(cells)
-        self._ints = self._int_view(self._cells)
-
-    @staticmethod
-    def _int_view(cells: tuple[Scalar, ...]) -> tuple[int, ...] | None:
-        # Cached all-integer view of the cells; lets determinant kernels
-        # run on plain ints when no entry has a denominator.
-        for c in cells:
-            if c.den != 1:
-                return None
-        return tuple(c.num for c in cells)
-
-    @classmethod
-    def from_layers(cls, order: int, layers) -> "CubicMatrix":
-        return cls(order, layers)
+        self._scale, self._ints = _scaled(self._cells)
 
     @classmethod
     def _from_cells(cls, order: int, cells: tuple[Scalar, ...]) -> "CubicMatrix":
         m = object.__new__(cls)
         m.order = order
         m._cells = cells
-        m._ints = cls._int_view(cells)
+        m._scale, m._ints = _scaled(cells)
         return m
 
     @classmethod

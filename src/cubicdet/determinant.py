@@ -38,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core3d import ONE, ZERO, CubicMatrix, Index3, Scalar
+from .core3d import CubicMatrix, Index3, Scalar
 
 __all__ = [
     "SignedTerm",
@@ -129,33 +129,27 @@ class SignedTerm:
     value: Scalar
 
 
+def _closed_form(order: int, ints) -> int:
+    """The closed-form table for ``order`` summed over flat int cells."""
+    acc = 0
+    if order == 3:
+        for sign, f1, f2, f3 in _FLAT[3]:
+            acc += sign * ints[f1] * ints[f2] * ints[f3]
+    elif order == 2:
+        for sign, f1, f2 in _FLAT[2]:
+            acc += sign * ints[f1] * ints[f2]
+    else:
+        acc = ints[0]
+    return acc
+
+
 def det_closed(A: CubicMatrix) -> Scalar:
     """Determinant by the hard-coded closed-form table for A's order.
 
     Order 1 is the single entry; order 2 sums 4 signed products of 2
     entries; order 3 sums 36 signed products of 3 entries.
     """
-    order = A.order
-    ints = A._ints
-    if ints is not None:
-        acc = 0
-        if order == 3:
-            for sign, f1, f2, f3 in _FLAT[3]:
-                acc += sign * ints[f1] * ints[f2] * ints[f3]
-        elif order == 2:
-            for sign, f1, f2 in _FLAT[2]:
-                acc += sign * ints[f1] * ints[f2]
-        else:
-            acc = ints[0]
-        return Scalar(acc)
-    cells = A._cells
-    total = ZERO
-    for sign, *flats in _FLAT[order]:
-        prod = ONE
-        for f in flats:
-            prod = prod * cells[f]
-        total = total + prod if sign > 0 else total - prod
-    return total
+    return Scalar(_closed_form(A.order, A._ints), A._scale**A.order)
 
 
 def _parity(perm: tuple[int, ...]) -> int:
@@ -185,39 +179,38 @@ def perm_terms(order: int) -> tuple:
     )
 
 
+def _monomials(A: CubicMatrix):
+    """Yield (sign, positions, signed product of A._ints) per template."""
+    n = A.order
+    nn = n * n
+    ints = A._ints
+    for sign, positions in perm_terms(n):
+        prod = sign
+        for i, j, k in positions:
+            prod *= ints[(k - 1) * nn + (i - 1) * n + (j - 1)]
+        yield sign, positions, prod
+
+
 def det_permutation(A: CubicMatrix) -> Scalar:
     """Determinant by direct double-permutation summation.
 
     Independent of the closed-form tables; used as the oracle by the
     verification harness.
     """
-    n = A.order
-    nn = n * n
-    cells = A._cells
-    total = ZERO
-    for sign, positions in perm_terms(n):
-        prod = ONE
-        for i, j, k in positions:
-            prod = prod * cells[(k - 1) * nn + (i - 1) * n + (j - 1)]
-        total = total + prod if sign > 0 else total - prod
-    return total
+    return Scalar(sum(prod for _, _, prod in _monomials(A)), A._scale**A.order)
 
 
 def signed_terms(A: CubicMatrix) -> list[SignedTerm]:
     """The evaluated permutation-expansion monomials of A, in template order."""
-    out = []
-    for sign, positions in perm_terms(A.order):
-        prod = ONE
-        for i, j, k in positions:
-            prod = prod * A._at(i, j, k)
-        out.append(
-            SignedTerm(
-                sign=sign,
-                positions=tuple(Index3(i, j, k) for i, j, k in positions),
-                value=prod if sign > 0 else -prod,
-            )
+    den = A._scale**A.order
+    return [
+        SignedTerm(
+            sign=sign,
+            positions=tuple(Index3(i, j, k) for i, j, k in positions),
+            value=Scalar(prod, den),
         )
-    return out
+        for sign, positions, prod in _monomials(A)
+    ]
 
 
 def sign_expansion(at: Index3) -> int:

@@ -50,16 +50,22 @@ class ParseError(ValueError):
 _LITERAL = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
 
 
+def _too_long(where: str, length: int) -> ParseError:
+    return ParseError(f"{where}: scalar literal of {length} characters is too long")
+
+
 def _parse_literal(token: str, where: str) -> Scalar:
     match = _LITERAL.match(token)
     if match is None:
         raise ParseError(f"{where}: bad scalar {token!r} (expected an integer or p/q)")
-    num = int(match.group(1))
-    den = 1
-    if match.group(2) is not None:
-        den = int(match.group(2))
-        if den == 0:
-            raise ParseError(f"{where}: zero denominator in {token!r}")
+    try:
+        num = int(match.group(1))
+        den = 1 if match.group(2) is None else int(match.group(2))
+    except ValueError:
+        # Past the interpreter's int-conversion digit limit.
+        raise _too_long(where, len(token)) from None
+    if den == 0:
+        raise ParseError(f"{where}: zero denominator in {token!r}")
     try:
         return Scalar(num, den)
     except ScalarOverflowError as err:
@@ -135,15 +141,11 @@ def parse_text(text: str) -> CubicMatrix:
     return CubicMatrix(order, layers)
 
 
-def _literal(value: Scalar) -> str:
-    return str(value.num) if value.den == 1 else f"{value.num}/{value.den}"
-
-
 def serialize_text(A: CubicMatrix) -> str:
     """Canonical text form: single spaces, one blank line between
     blocks, reduced p/q literals, LF endings, one trailing newline."""
     blocks = [
-        "\n".join(" ".join(_literal(v) for v in row) for row in block)
+        "\n".join(" ".join(str(v) for v in row) for row in block)
         for block in A.layers()
     ]
     return f"{A.order}\n" + "\n\n".join(blocks) + "\n"
@@ -155,10 +157,23 @@ class _Float(str):
     pass
 
 
+class _LongInt(str):
+    # Marker for integer literals past the interpreter's int-conversion
+    # digit limit, for the same reason.
+    pass
+
+
+def _parse_json_int(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return _LongInt(text)
+
+
 def parse_json(text: str) -> CubicMatrix:
     """Parse the JSON format; floats are rejected wherever they appear."""
     try:
-        doc = json.loads(text, parse_float=_Float, parse_constant=_Float)
+        doc = json.loads(text, parse_float=_Float, parse_int=_parse_json_int, parse_constant=_Float)
     except json.JSONDecodeError as err:
         raise ParseError(f"line {err.lineno} column {err.colno}: {err.msg}") from None
     if not isinstance(doc, dict):
@@ -168,6 +183,8 @@ def parse_json(text: str) -> CubicMatrix:
     if "layers" not in doc:
         raise ParseError('line 1: missing "layers"')
     raw_order = doc["order"]
+    if isinstance(raw_order, _LongInt):
+        raise _too_long('"order"', len(raw_order))
     if isinstance(raw_order, _Float):
         raise ParseError(f'"order": float literal not permitted, got {str.__str__(raw_order)!r}')
     if isinstance(raw_order, bool) or not isinstance(raw_order, int):
@@ -199,6 +216,8 @@ def parse_json(text: str) -> CubicMatrix:
             row = []
             for j, raw in enumerate(raw_row, start=1):
                 where = f"vertical layer {k} row {i} column {j}"
+                if isinstance(raw, _LongInt):
+                    raise _too_long(where, len(raw))
                 if isinstance(raw, _Float):
                     raise ParseError(f"{where}: float literal not permitted, got {str.__str__(raw)!r}")
                 if isinstance(raw, bool):
@@ -217,11 +236,13 @@ def parse_json(text: str) -> CubicMatrix:
     return CubicMatrix(order, layers)
 
 
+def _json_scalar(value: Scalar):
+    """A scalar as JSON data: an integer, or a "p/q" string."""
+    return value.num if value.den == 1 else str(value)
+
+
 def serialize_json(A: CubicMatrix) -> str:
     """Canonical JSON form: {"order": n, "layers": [...]} on one line,
     integer entries as JSON integers, others as "p/q" strings."""
-    layers = [
-        [[v.num if v.den == 1 else _literal(v) for v in row] for row in block]
-        for block in A.layers()
-    ]
+    layers = [[[_json_scalar(v) for v in row] for row in block] for block in A.layers()]
     return json.dumps({"order": A.order, "layers": layers})

@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core3d import ZERO, Axis, CubicMatrix, Index3, Scalar, ShapeError
-from .determinant import det_closed, sign_expansion, sign_paper_def
+from .core3d import _DELETE_TABLE, Axis, CubicMatrix, Index3, Scalar, ShapeError, _flat
+from .determinant import _closed_form, det_closed, sign_expansion, sign_paper_def
 
 __all__ = [
     "SignConvention",
@@ -104,24 +104,41 @@ def expand(A: CubicMatrix, axis: Axis, index: int) -> ExpansionTrace:
     """One layer expansion with a full per-term trace.
 
     Every term records sign * entry * minor; the total equals the
-    determinant of A.
+    determinant of A.  Each minor is the closed form of the entries left
+    after deleting the term's three layers.
     """
     if A.order == 1:
         raise ShapeError("an order-1 matrix has no layers to expand along")
     _check_layer_index(A, axis, index)
+    n = A.order
+    ints = A._ints
+    minor_den = A._scale ** (n - 1)
+    den = minor_den * A._scale
     terms = []
-    total = ZERO
-    for i, j, k in _layer_positions(A.order, axis, index):
+    total = 0
+    for i, j, k in _layer_positions(n, axis, index):
         at = Index3(i, j, k)
-        entry = A._at(i, j, k)
         sign = sign_expansion(at)
-        minor_value = det_closed(A.delete_sub(at))
-        contribution = entry * minor_value
-        if sign < 0:
-            contribution = -contribution
-        total = total + contribution
-        terms.append(TraceTerm(at, entry, sign, minor_value, contribution))
-    return ExpansionTrace(axis, index, tuple(terms), total)
+        minor_value = _closed_form(n - 1, [ints[f] for f in _DELETE_TABLE[(n, i, j, k)]])
+        contribution = sign * ints[_flat(n, i, j, k)] * minor_value
+        total += contribution
+        terms.append(
+            TraceTerm(at, A._at(i, j, k), sign, Scalar(minor_value, minor_den), Scalar(contribution, den))
+        )
+    return ExpansionTrace(axis, index, tuple(terms), Scalar(total, den))
+
+
+def _laplace_sum(order: int, ints, axis: Axis, index: int) -> int:
+    """det_laplace on flat int cells, recursing on the kept cells."""
+    if order == 1:
+        return ints[0]
+    total = 0
+    for i, j, k in _layer_positions(order, axis, index):
+        entry = ints[_flat(order, i, j, k)]
+        if entry:
+            sub = [ints[f] for f in _DELETE_TABLE[(order, i, j, k)]]
+            total += sign_expansion(Index3(i, j, k)) * entry * _laplace_sum(order - 1, sub, axis, 1)
+    return total
 
 
 def det_laplace(A: CubicMatrix, axis: Axis = Axis.HORIZONTAL_LAYER, index: int = 1) -> Scalar:
@@ -134,17 +151,7 @@ def det_laplace(A: CubicMatrix, axis: Axis = Axis.HORIZONTAL_LAYER, index: int =
     evaluation deterministic).
     """
     _check_layer_index(A, axis, index)
-    if A.order == 1:
-        return A._cells[0]
-    total = ZERO
-    for i, j, k in _layer_positions(A.order, axis, index):
-        at = Index3(i, j, k)
-        entry = A._at(i, j, k)
-        if not entry:
-            continue
-        value = entry * det_laplace(A.delete_sub(at), axis, 1)
-        total = total + value if sign_expansion(at) > 0 else total - value
-    return total
+    return Scalar(_laplace_sum(A.order, A._ints, axis, index), A._scale**A.order)
 
 
 def expand_all(A: CubicMatrix) -> list[ExpansionTrace]:

@@ -1,8 +1,14 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from cubicdet import CubicMatrix
+
+# One fixed profile for every property test: the same examples on every
+# run, and no per-example deadline on a shared machine.
+settings.register_profile("cubicdet", max_examples=150, derandomize=True, deadline=None)
+settings.load_profile("cubicdet")
 
 DATA = Path(__file__).parent / "data"
 

@@ -258,6 +258,18 @@ class TestErrorHandling:
         code, _, _ = run_cli(capsys, [])
         assert code == 2
 
+    def test_huge_literal_is_located(self, capsys, tmp_path):
+        huge = "9" * 5000
+        for name, text, where in (
+            ("huge.txt", f"1\n{huge}\n", "line 2: vertical layer 1 row 1 column 1"),
+            ("huge.json", f'{{"order": 1, "layers": [[[{huge}]]]}}', "vertical layer 1 row 1 column 1"),
+        ):
+            path = tmp_path / name
+            path.write_text(text)
+            code, out, err = run_cli(capsys, ["det", str(path)])
+            assert (code, out) == (2, "")
+            assert err == f"error: {where}: scalar literal of 5000 characters is too long\n"
+
     def test_laplace_index_out_of_range(self, capsys, e1_path):
         code, _, err = run_cli(
             capsys, ["det", e1_path, "--method", "laplace", "--index", "5"]

@@ -5,7 +5,6 @@ from cubicdet import (
     ZERO,
     Axis,
     CubicMatrix,
-    Dim3,
     GenSpec,
     Index3,
     Scalar,
@@ -95,17 +94,6 @@ class TestScalar:
             Scalar(1, 2.0)  # type: ignore[arg-type]
 
 
-class TestDim3:
-    def test_cubic(self):
-        assert Dim3(2, 2, 2).is_cubic()
-        assert not Dim3(2, 2, 3).is_cubic()
-        assert str(Dim3(1, 2, 3)) == "1x2x3"
-
-    def test_positive(self):
-        with pytest.raises(ShapeError):
-            Dim3(0, 1, 1)
-
-
 class TestIndex3:
     def test_one_based(self):
         at = Index3(1, 2, 3)
@@ -143,9 +131,6 @@ class TestConstruction:
     def test_from_layers_order1(self):
         m = CubicMatrix(1, [[[7]]])
         assert m.get(Index3(1, 1, 1)) == Scalar(7)
-
-    def test_from_layers_alias(self):
-        assert CubicMatrix.from_layers(1, [[[7]]]) == CubicMatrix(1, [[[7]]])
 
     def test_wrong_block_count(self):
         with pytest.raises(ShapeError, match="not square"):

@@ -7,6 +7,10 @@ from cubicdet import (
     GenSpec,
     Index3,
     Scalar,
+    ScalarOverflowError,
+    cross_check,
+    det_laplace,
+    expand,
     det_closed,
     det_permutation,
     perm_terms,
@@ -173,3 +177,23 @@ class TestDerivedLaws:
                 m = random_cubic(GenSpec(order, 2000 + seed, 9))
                 for axis in Axis:
                     assert det_permutation(m.scale_layer(axis, order, 0)) == ZERO
+
+
+class TestOverflowAgreement:
+    # Every monomial is 2**80, outside the 64-bit bounds, but they cancel
+    # to 0.  A route raises only when a value it reports leaves the bounds.
+    BIG = CubicMatrix(2, [[[2**40] * 2] * 2] * 2)
+
+    def test_routes_agree_past_an_unrepresentable_intermediate(self):
+        assert det_closed(self.BIG) == ZERO
+        assert det_permutation(self.BIG) == ZERO
+        for axis in Axis:
+            for index in (1, 2):
+                assert det_laplace(self.BIG, axis, index) == ZERO
+
+    def test_unrepresentable_trace_values_raise(self):
+        # Each trace contribution is 2**80.
+        with pytest.raises(ScalarOverflowError):
+            expand(self.BIG, Axis.HORIZONTAL_LAYER, 1)
+        with pytest.raises(ScalarOverflowError):
+            cross_check(self.BIG)

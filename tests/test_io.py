@@ -115,6 +115,19 @@ class TestTextFormat:
         with pytest.raises(ParseError, match="column 1: numerator .* signed 64-bit"):
             parse_text(f"1\n{2**63}\n")
 
+    def test_huge_literal_is_a_located_parse_error(self):
+        # Past Python's int-conversion digit limit (4300 by default).
+        huge = "7" * 5000
+        with pytest.raises(
+            ParseError,
+            match="^line 3: vertical layer 1 row 2 column 1: scalar literal of 5000 characters is too long$",
+        ):
+            parse_text(f"2\n1 2\n{huge} 4\n\n5 6\n7 8\n")
+        with pytest.raises(ParseError, match="^line 2: .* scalar literal of 5002 characters is too long$"):
+            parse_text(f"1\n1/{huge}\n")
+        # Literals that reduce into range stay accepted.
+        assert parse_text(f"1\n{10**100}/{10**99}\n")[1, 1, 1] == Scalar(10)
+
 
 class TestJsonFormat:
     def test_serialize_is_byte_exact(self, example1):
@@ -198,6 +211,18 @@ class TestJsonFormat:
             parse_json('{"order": 1, "layers": [[["1/0"]]]}')
         with pytest.raises(ParseError, match="numerator .* signed 64-bit"):
             parse_json(f'{{"order": 1, "layers": [[[{2**63}]]]}}')
+
+    def test_huge_literal_is_a_located_parse_error(self):
+        huge = "7" * 5000
+        with pytest.raises(
+            ParseError,
+            match="^vertical layer 2 row 1 column 2: scalar literal of 5001 characters is too long$",
+        ):
+            parse_json(f'{{"order": 2, "layers": [[[1, 2], [3, 4]], [[5, -{huge}], [7, 8]]]}}')
+        with pytest.raises(ParseError, match='^"order": scalar literal of 5000 characters is too long$'):
+            parse_json(f'{{"order": {huge}, "layers": []}}')
+        with pytest.raises(ParseError, match="^vertical layer 1 row 1 column 1: scalar literal of 5002"):
+            parse_json(f'{{"order": 1, "layers": [[["{huge}/3"]]]}}')
 
 
 class TestCrossFormat:
