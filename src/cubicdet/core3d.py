@@ -224,6 +224,27 @@ def _build_delete_table() -> dict[tuple[int, int, int, int], tuple[int, ...]]:
 _DELETE_TABLE = _build_delete_table()
 
 
+def _layer_positions(order: int, axis: Axis, index: int) -> list[tuple[int, int, int]]:
+    """(i, j, k) triples of the fixed layer, in trace order."""
+    rng = range(1, order + 1)
+    if axis is Axis.HORIZONTAL_LAYER:
+        return [(index, j, k) for k in rng for j in rng]
+    if axis is Axis.VERTICAL_PAGE:
+        return [(i, index, k) for k in rng for i in rng]
+    return [(i, j, index) for i in rng for j in rng]
+
+
+# A layer's flat indices in trace order.  Layers a and b of one axis
+# list their cells in the same order of the two free coordinates, so
+# zipping them pairs each cell with its image under the swap.
+_LAYER_FLAT = {
+    (order, axis, index): tuple(_flat(order, *at) for at in _layer_positions(order, axis, index))
+    for order in (1, 2, 3)
+    for axis in Axis
+    for index in range(1, order + 1)
+}
+
+
 def _scaled(cells: tuple[Scalar, ...]) -> tuple[int, tuple[int, ...]]:
     """The lcm of the cells' denominators, and each cell times it."""
     scale = math.lcm(*[c.den for c in cells])
@@ -280,11 +301,12 @@ class CubicMatrix:
         self._scale, self._ints = _scaled(self._cells)
 
     @classmethod
-    def _from_cells(cls, order: int, cells: tuple[Scalar, ...]) -> "CubicMatrix":
+    def _from_cells(cls, order: int, cells: tuple[Scalar, ...], scaled=None) -> "CubicMatrix":
+        """A matrix over ``cells``; ``scaled`` is their ``(_scale, _ints)`` when known."""
         m = object.__new__(cls)
         m.order = order
         m._cells = cells
-        m._scale, m._ints = _scaled(cells)
+        m._scale, m._ints = _scaled(cells) if scaled is None else scaled
         return m
 
     @classmethod
@@ -357,10 +379,8 @@ class CubicMatrix:
             raise IndexError(f"{axis.letter}-layer index {index} out of range for an order-{n} matrix")
         c = _to_scalar(c)
         cells = list(self._cells)
-        for f, (i, j, k) in _enumerate_coords(n):
-            coord = i if axis is Axis.HORIZONTAL_LAYER else j if axis is Axis.VERTICAL_PAGE else k
-            if coord == index:
-                cells[f] = c * cells[f]
+        for f in _LAYER_FLAT[(n, axis, index)]:
+            cells[f] = c * cells[f]
         return CubicMatrix._from_cells(n, tuple(cells))
 
     def swap_layers(self, axis: Axis, a: int, b: int) -> "CubicMatrix":
@@ -371,18 +391,13 @@ class CubicMatrix:
                 raise IndexError(f"{axis.letter}-layer index {index} out of range for an order-{n} matrix")
         if a == b:
             return self
-        swap = {a: b, b: a}
-        cells = self._cells
-        new = [None] * len(cells)
-        for f, (i, j, k) in _enumerate_coords(n):
-            if axis is Axis.HORIZONTAL_LAYER:
-                i = swap.get(i, i)
-            elif axis is Axis.VERTICAL_PAGE:
-                j = swap.get(j, j)
-            else:
-                k = swap.get(k, k)
-            new[f] = cells[_flat(n, i, j, k)]
-        return CubicMatrix._from_cells(n, tuple(new))
+        cells = list(self._cells)
+        ints = list(self._ints)
+        for fa, fb in zip(_LAYER_FLAT[(n, axis, a)], _LAYER_FLAT[(n, axis, b)]):
+            cells[fa], cells[fb] = cells[fb], cells[fa]
+            ints[fa], ints[fb] = ints[fb], ints[fa]
+        # Permuting cells leaves the lcm of their denominators as it is.
+        return CubicMatrix._from_cells(n, tuple(cells), (self._scale, tuple(ints)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CubicMatrix):
@@ -402,12 +417,3 @@ class CubicMatrix:
         )
         return f"<CubicMatrix order={self.order}: {body}>"
 
-
-def _enumerate_coords(order: int):
-    """Yield (flat index, (i, j, k)) in canonical k-major order."""
-    f = 0
-    for k in range(1, order + 1):
-        for i in range(1, order + 1):
-            for j in range(1, order + 1):
-                yield f, (i, j, k)
-                f += 1

@@ -129,17 +129,18 @@ class SignedTerm:
     value: Scalar
 
 
-def _closed_form(order: int, ints) -> int:
-    """The closed-form table for ``order`` summed over flat int cells."""
+def _table_sum(order: int, table, ints) -> int:
+    """Sum of sign * ints[f1] * ... * ints[fn] over a (sign, f1, ..., fn) table."""
     acc = 0
     if order == 3:
-        for sign, f1, f2, f3 in _FLAT[3]:
+        for sign, f1, f2, f3 in table:
             acc += sign * ints[f1] * ints[f2] * ints[f3]
     elif order == 2:
-        for sign, f1, f2 in _FLAT[2]:
+        for sign, f1, f2 in table:
             acc += sign * ints[f1] * ints[f2]
     else:
-        acc = ints[0]
+        for sign, f1 in table:
+            acc += sign * ints[f1]
     return acc
 
 
@@ -149,7 +150,7 @@ def det_closed(A: CubicMatrix) -> Scalar:
     Order 1 is the single entry; order 2 sums 4 signed products of 2
     entries; order 3 sums 36 signed products of 3 entries.
     """
-    return Scalar(_closed_form(A.order, A._ints), A._scale**A.order)
+    return Scalar(_table_sum(A.order, _FLAT[A.order], A._ints), A._scale**A.order)
 
 
 def _parity(perm: tuple[int, ...]) -> int:
@@ -179,16 +180,13 @@ def perm_terms(order: int) -> tuple:
     )
 
 
-def _monomials(A: CubicMatrix):
-    """Yield (sign, positions, signed product of A._ints) per template."""
-    n = A.order
-    nn = n * n
-    ints = A._ints
-    for sign, positions in perm_terms(n):
-        prod = sign
-        for i, j, k in positions:
-            prod *= ints[(k - 1) * nn + (i - 1) * n + (j - 1)]
-        yield sign, positions, prod
+@lru_cache(maxsize=None)
+def _perm_flat(order: int) -> tuple:
+    """perm_terms(order) as (sign, f1, ..., fn) over flat k-major cells.
+
+    Derived from the permutations, never from the closed-form tables.
+    """
+    return _flatten(order, perm_terms(order))
 
 
 def det_permutation(A: CubicMatrix) -> Scalar:
@@ -197,19 +195,18 @@ def det_permutation(A: CubicMatrix) -> Scalar:
     Independent of the closed-form tables; used as the oracle by the
     verification harness.
     """
-    return Scalar(sum(prod for _, _, prod in _monomials(A)), A._scale**A.order)
+    return Scalar(_table_sum(A.order, _perm_flat(A.order), A._ints), A._scale**A.order)
 
 
 def signed_terms(A: CubicMatrix) -> list[SignedTerm]:
     """The evaluated permutation-expansion monomials of A, in template order."""
-    den = A._scale**A.order
+    n = A.order
+    den = A._scale**n
     return [
         SignedTerm(
-            sign=sign,
-            positions=tuple(Index3(i, j, k) for i, j, k in positions),
-            value=Scalar(prod, den),
+            sign, tuple(Index3(i, j, k) for i, j, k in positions), Scalar(_table_sum(n, (row,), A._ints), den)
         )
-        for sign, positions, prod in _monomials(A)
+        for (sign, positions), row in zip(perm_terms(n), _perm_flat(n))
     ]
 
 

@@ -48,6 +48,7 @@ class ParseError(ValueError):
 
 
 _LITERAL = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
+_INTEGER = re.compile(r"[+-]?\d+\Z")
 
 
 def _too_long(where: str, length: int) -> ParseError:
@@ -76,6 +77,9 @@ def _parse_order_token(token: str, where: str) -> int:
     try:
         order = int(token)
     except ValueError:
+        if _INTEGER.match(token):
+            # Past the interpreter's int-conversion digit limit.
+            raise _too_long(where, len(token)) from None
         raise ParseError(f"{where}: order must be an integer, got {token!r}") from None
     if order > 3:
         raise ParseError(f"{where}: order {order} not supported: {ORDER_TOO_HIGH_MESSAGE}")

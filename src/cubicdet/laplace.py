@@ -26,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core3d import _DELETE_TABLE, Axis, CubicMatrix, Index3, Scalar, ShapeError, _flat
-from .determinant import _closed_form, det_closed, sign_expansion, sign_paper_def
+from .core3d import _DELETE_TABLE, _DEN_MAX, _NUM_MAX, _NUM_MIN, Axis, CubicMatrix, Index3, Scalar, ShapeError
+from .core3d import _flat, _layer_positions
+from .determinant import _FLAT, _table_sum, det_closed, sign_expansion, sign_paper_def
 
 __all__ = [
     "SignConvention",
@@ -81,14 +82,18 @@ def cofactor(A: CubicMatrix, at: Index3, convention: SignConvention = SignConven
     return value if sign > 0 else -value
 
 
-def _layer_positions(order: int, axis: Axis, index: int):
-    """(i, j, k) triples of the fixed layer, in trace order."""
-    rng = range(1, order + 1)
-    if axis is Axis.HORIZONTAL_LAYER:
-        return [(index, j, k) for k in rng for j in rng]
-    if axis is Axis.VERTICAL_PAGE:
-        return [(i, index, k) for k in rng for i in rng]
-    return [(i, j, index) for i in rng for j in rng]
+# Per term of each layer expansion, in trace order: the entry's address,
+# its flat index, and the flat indices its minor keeps.  Signs are left
+# to sign_expansion, called once per term.
+_LAYERS = {
+    (order, axis, index): tuple(
+        (Index3(i, j, k), _flat(order, i, j, k), _DELETE_TABLE[(order, i, j, k)])
+        for i, j, k in _layer_positions(order, axis, index)
+    )
+    for order in (2, 3)
+    for axis in Axis
+    for index in range(1, order + 1)
+}
 
 
 def _check_layer_index(A: CubicMatrix, axis: Axis, index: int) -> None:
@@ -98,6 +103,19 @@ def _check_layer_index(A: CubicMatrix, axis: Axis, index: int) -> None:
         raise IndexError(
             f"{axis.letter}-layer index {index} out of range for an order-{A.order} matrix"
         )
+
+
+def _contributions(A: CubicMatrix, axis: Axis, index: int):
+    """Yield (at, flat index, sign, minor, contribution) per term, as ints
+    over A._ints: the minor is scaled by _scale**(n-1), the contribution
+    by _scale**n."""
+    n = A.order
+    ints = A._ints
+    minor_table = _FLAT[n - 1]
+    for at, f, kept in _LAYERS[(n, axis, index)]:
+        sign = sign_expansion(at)
+        minor_value = _table_sum(n - 1, minor_table, [ints[g] for g in kept])
+        yield at, f, sign, minor_value, sign * ints[f] * minor_value
 
 
 def expand(A: CubicMatrix, axis: Axis, index: int) -> ExpansionTrace:
@@ -110,22 +128,34 @@ def expand(A: CubicMatrix, axis: Axis, index: int) -> ExpansionTrace:
     if A.order == 1:
         raise ShapeError("an order-1 matrix has no layers to expand along")
     _check_layer_index(A, axis, index)
-    n = A.order
-    ints = A._ints
-    minor_den = A._scale ** (n - 1)
+    minor_den = A._scale ** (A.order - 1)
     den = minor_den * A._scale
     terms = []
     total = 0
-    for i, j, k in _layer_positions(n, axis, index):
-        at = Index3(i, j, k)
-        sign = sign_expansion(at)
-        minor_value = _closed_form(n - 1, [ints[f] for f in _DELETE_TABLE[(n, i, j, k)]])
-        contribution = sign * ints[_flat(n, i, j, k)] * minor_value
+    for at, f, sign, minor_value, contribution in _contributions(A, axis, index):
         total += contribution
         terms.append(
-            TraceTerm(at, A._at(i, j, k), sign, Scalar(minor_value, minor_den), Scalar(contribution, den))
+            TraceTerm(at, A._cells[f], sign, Scalar(minor_value, minor_den), Scalar(contribution, den))
         )
     return ExpansionTrace(axis, index, tuple(terms), Scalar(total, den))
+
+
+def _expansion_total(A: CubicMatrix, axis: Axis, index: int) -> Scalar:
+    """``expand(A, axis, index).total`` without building the trace.
+
+    While every minor, contribution and denominator fits 64 bits, none
+    of the trace's Scalars can overflow, so the sum alone decides.  Past
+    that, expand itself runs, so this raises exactly when expand does.
+    """
+    den = A._scale**A.order
+    if den > _DEN_MAX:
+        return expand(A, axis, index).total
+    total = 0
+    for _, _, _, minor_value, contribution in _contributions(A, axis, index):
+        if not (_NUM_MIN <= minor_value <= _NUM_MAX and _NUM_MIN <= contribution <= _NUM_MAX):
+            return expand(A, axis, index).total
+        total += contribution
+    return Scalar(total, den)
 
 
 def _laplace_sum(order: int, ints, axis: Axis, index: int) -> int:
@@ -133,11 +163,11 @@ def _laplace_sum(order: int, ints, axis: Axis, index: int) -> int:
     if order == 1:
         return ints[0]
     total = 0
-    for i, j, k in _layer_positions(order, axis, index):
-        entry = ints[_flat(order, i, j, k)]
+    for at, f, kept in _LAYERS[(order, axis, index)]:
+        entry = ints[f]
         if entry:
-            sub = [ints[f] for f in _DELETE_TABLE[(order, i, j, k)]]
-            total += sign_expansion(Index3(i, j, k)) * entry * _laplace_sum(order - 1, sub, axis, 1)
+            sub = [ints[g] for g in kept]
+            total += sign_expansion(at) * entry * _laplace_sum(order - 1, sub, axis, 1)
     return total
 
 

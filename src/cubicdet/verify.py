@@ -6,11 +6,13 @@ cross-check evaluates every determinant path (closed form, permutation
 sum, each one-level layer expansion) plus nine derived algebraic laws,
 comparing everything exactly against the permutation oracle.
 
-Laplace path values come from one-level expansion traces rather than
-the recursive evaluator: a systematically wrong sign shows up exactly
-once per trace term, while in the recursive evaluator an error of even
-multiplicity can cancel itself.  The recursive evaluator is checked
-against the traces in the test suite instead.
+Laplace path values are totals of one-level expansions: the same
+per-term contributions that ``expand`` traces, summed without building
+trace objects.  They come from one level rather than the recursive
+evaluator: a systematically wrong sign shows up exactly once per term,
+while in the recursive evaluator an error of even multiplicity can
+cancel itself.  The recursive evaluator is checked against the traces
+in the test suite instead.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import hashlib
 from dataclasses import dataclass
 from itertools import repeat
 
-from .core3d import ZERO, Axis, CubicMatrix, Scalar, ShapeError
+from .core3d import ZERO, Axis, CubicMatrix, Scalar, ScalarOverflowError, ShapeError
 from .determinant import det_closed, det_permutation
 from .io import serialize_text
-from .laplace import expand
+from .laplace import _expansion_total
 
 __all__ = [
     "SplitMix64",
@@ -153,7 +155,7 @@ def cross_check(A: CubicMatrix) -> VerifyReport:
     }
     for axis in _AXES:
         for index in range(1, A.order + 1):
-            paths[f"laplace:{axis.letter}:{index}"] = expand(A, axis, index).total
+            paths[f"laplace:{axis.letter}:{index}"] = _expansion_total(A, axis, index)
     laws = []
     a, b = _LAW_SWAP
     for axis in _AXES:
@@ -197,7 +199,12 @@ def batch_verify(orders, trials: int, seed: int, range: int) -> BatchSummary:
     for order in orders:
         for _ in repeat(None, trials):
             spec = GenSpec(order, rng.next(), range)
-            report = cross_check(random_cubic(spec))
+            try:
+                report = cross_check(random_cubic(spec))
+            except ScalarOverflowError as err:
+                raise ScalarOverflowError(
+                    f"--order {spec.order} --seed {spec.seed} --range {spec.range}: {err}"
+                ) from err
             run += 1
             if not report.overall:
                 failures += 1

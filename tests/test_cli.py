@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 
@@ -195,6 +196,22 @@ class TestVerify:
         assert any(l.startswith("first failure: --order 2 --seed ") for l in lines)
         assert lines[-1] == "FAIL"
 
+    def test_random_overflow_prints_repro(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, ["verify", "--random", "--orders", "3", "--range", "10000000"]
+        )
+        assert (code, out) == (2, "")
+        match = re.fullmatch(r"error: (--order 3 --seed (\d+) --range 10000000): (numerator .*)\n", err)
+        assert match is not None, err
+        spec, seed, cause = match.groups()
+        # The printed spec regenerates the matrix that overflowed.
+        code, text, _ = run_cli(capsys, ["gen", *spec.split()])
+        assert code == 0
+        path = tmp_path / f"seed{seed}.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, ["verify", str(path)])
+        assert (code, out, err) == (2, "", f"error: {cause}\n")
+
     def test_needs_file_or_random(self, capsys):
         code, _, err = run_cli(capsys, ["verify"])
         assert code == 2
@@ -263,6 +280,7 @@ class TestErrorHandling:
         for name, text, where in (
             ("huge.txt", f"1\n{huge}\n", "line 2: vertical layer 1 row 1 column 1"),
             ("huge.json", f'{{"order": 1, "layers": [[[{huge}]]]}}', "vertical layer 1 row 1 column 1"),
+            ("huge_order.txt", f"{huge}\n1\n", "line 1"),
         ):
             path = tmp_path / name
             path.write_text(text)

@@ -247,6 +247,27 @@ class TestLayerTransforms:
         assert swapped.get(Index3(1, 1, 1)) == Scalar(-1)
         assert swapped.get(Index3(2, 1, 1)) == Scalar(4)
 
+    def test_results_keep_the_integer_view(self, example1, example2):
+        # Each result's (_scale, _ints) is what its constructor computes.
+        subjects = [
+            example1,
+            example2,
+            example2.scale(Scalar(1, 3)),
+            example2.scale_layer(Axis.VERTICAL_PAGE, 1, Scalar(1, 3)).scale_layer(Axis.VERTICAL_LAYER, 3, Scalar(5, 4)),
+        ]
+        for A in subjects:
+            n = A.order
+            results = [A.add(A.scale(Scalar(1, 2))), A.scale(Scalar(-2, 3)), A.delete_sub(Index3(1, 2, n))]
+            for axis in Axis:
+                results += [
+                    A.scale_layer(axis, n, Scalar(3, 2)),
+                    A.scale_layer(axis, 1, 0),
+                    A.swap_layers(axis, 1, n),
+                ]
+            for m in results:
+                fresh = CubicMatrix(m.order, m.layers())
+                assert (m._scale, m._ints) == (fresh._scale, fresh._ints)
+
     def test_range_errors(self, example1):
         with pytest.raises(IndexError):
             example1.scale_layer(Axis.VERTICAL_LAYER, 3, 2)

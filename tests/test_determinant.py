@@ -197,3 +197,30 @@ class TestOverflowAgreement:
             expand(self.BIG, Axis.HORIZONTAL_LAYER, 1)
         with pytest.raises(ScalarOverflowError):
             cross_check(self.BIG)
+
+    # In order 2 each trace contribution is one signed monomial, so it is
+    # the same in all six expansions.  AT_MIN has the monomials 2**63-1
+    # (7 times (2**63-1)/7) and -2**63; PAST_MAX has 2**63 and -2**63.
+    AT_MIN = CubicMatrix(2, [[[7, 0], [0, 2**31]], [[2**32, 0], [0, (2**63 - 1) // 7]]])
+    PAST_MAX = CubicMatrix(2, [[[2**32, 0], [0, 2**31]], [[2**32, 0], [0, 2**31]]])
+
+    def test_a_contribution_of_minus_2_63_is_reported(self):
+        det = det_permutation(self.AT_MIN)
+        assert det == Scalar(-1)
+        for axis in Axis:
+            for index in (1, 2):
+                trace = expand(self.AT_MIN, axis, index)
+                assert trace.total == det
+                assert Scalar(-(2**63)) in [t.contribution for t in trace.terms]
+        report = cross_check(self.AT_MIN)
+        assert report.overall
+        assert set(report.paths.values()) == {det}
+
+    def test_a_contribution_of_2_63_raises(self):
+        assert det_permutation(self.PAST_MAX) == ZERO
+        for axis in Axis:
+            for index in (1, 2):
+                with pytest.raises(ScalarOverflowError):
+                    expand(self.PAST_MAX, axis, index)
+        with pytest.raises(ScalarOverflowError):
+            cross_check(self.PAST_MAX)

@@ -128,6 +128,16 @@ class TestTextFormat:
         # Literals that reduce into range stay accepted.
         assert parse_text(f"1\n{10**100}/{10**99}\n")[1, 1, 1] == Scalar(10)
 
+    def test_huge_order_token_is_a_located_parse_error(self):
+        huge = "7" * 5000
+        with pytest.raises(ParseError, match="^line 1: scalar literal of 5000 characters is too long$"):
+            parse_text(f"{huge}\n1\n")
+        with pytest.raises(ParseError, match="^line 2: scalar literal of 5001 characters is too long$"):
+            parse_text(f"\n-{huge}\n1\n")
+        # A token that is not an integer keeps its message.
+        with pytest.raises(ParseError, match="^line 1: order must be an integer, got '7x'$"):
+            parse_text("7x\n")
+
 
 class TestJsonFormat:
     def test_serialize_is_byte_exact(self, example1):

@@ -19,6 +19,7 @@ from cubicdet import (
     Scalar,
     SignConvention,
     cofactor,
+    cross_check,
     det_closed,
     det_laplace,
     det_permutation,
@@ -85,6 +86,7 @@ def test_every_route_matches_the_reference(subject):
 
     assert frac(det_closed(A)) == det
     assert frac(det_permutation(A)) == det
+    assert {frac(v) for v in cross_check(A).paths.values()} == {det}
     for axis in Axis:
         for index in range(1, n + 1):
             assert frac(det_laplace(A, axis, index)) == det
