@@ -19,7 +19,7 @@ can be shared freely between threads or tasks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 __all__ = [
@@ -154,17 +154,18 @@ def _to_scalar(value: object) -> Scalar:
     raise TypeError(f"matrix entries must be Scalar or int, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Index3:
+class Index3(namedtuple("Index3", "i j k")):
     """A 1-based entry address (horizontal layer i, vertical page j, vertical layer k)."""
 
+    __slots__ = ()
     i: int
     j: int
     k: int
 
-    def __post_init__(self):
-        if self.i < 1 or self.j < 1 or self.k < 1:
-            raise IndexError(f"entry index ({self.i},{self.j},{self.k}) must be 1-based (components >= 1)")
+    def __new__(cls, i: int, j: int, k: int):
+        if i < 1 or j < 1 or k < 1:
+            raise IndexError(f"entry index ({i},{j},{k}) must be 1-based (components >= 1)")
+        return tuple.__new__(cls, (i, j, k))
 
     def __str__(self) -> str:
         return f"({self.i},{self.j},{self.k})"

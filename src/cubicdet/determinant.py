@@ -35,7 +35,7 @@ expansions whenever the fixed layer index is even.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .core3d import CubicMatrix, Index3, Scalar
@@ -115,8 +115,7 @@ def _flatten(order: int, terms) -> tuple:
 _FLAT = {order: _flatten(order, terms) for order, terms in _TERMS.items()}
 
 
-@dataclass(frozen=True)
-class SignedTerm:
+class SignedTerm(namedtuple("SignedTerm", "sign positions value")):
     """One monomial of a determinant expansion.
 
     positions lists one Index3 per horizontal layer, i ascending; as a
@@ -124,6 +123,7 @@ class SignedTerm:
     once.  value == sign * product of the addressed entries.
     """
 
+    __slots__ = ()
     sign: int
     positions: tuple[Index3, ...]
     value: Scalar

@@ -47,8 +47,10 @@ class ParseError(ValueError):
     """Malformed matrix input; the message carries a 1-based location."""
 
 
-_LITERAL = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
-_INTEGER = re.compile(r"[+-]?\d+\Z")
+# [0-9], not \d: \d and int() also take non-ASCII digits, which the
+# grammar does not allow.
+_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
+_INTEGER = re.compile(r"[+-]?[0-9]+\Z")
 
 
 def _too_long(where: str, length: int) -> ParseError:
@@ -74,13 +76,13 @@ def _parse_literal(token: str, where: str) -> Scalar:
 
 
 def _parse_order_token(token: str, where: str) -> int:
+    if _INTEGER.match(token) is None:
+        raise ParseError(f"{where}: order must be an integer, got {token!r}")
     try:
         order = int(token)
     except ValueError:
-        if _INTEGER.match(token):
-            # Past the interpreter's int-conversion digit limit.
-            raise _too_long(where, len(token)) from None
-        raise ParseError(f"{where}: order must be an integer, got {token!r}") from None
+        # Past the interpreter's int-conversion digit limit.
+        raise _too_long(where, len(token)) from None
     if order > 3:
         raise ParseError(f"{where}: order {order} not supported: {ORDER_TOO_HIGH_MESSAGE}")
     if order < 1:

@@ -23,7 +23,7 @@ enumerates the free pair with k outermost; fixed k enumerates row-major
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .core3d import _DELETE_TABLE, _DEN_MAX, _NUM_MAX, _NUM_MIN, Axis, CubicMatrix, Index3, Scalar, ShapeError
@@ -49,10 +49,10 @@ class SignConvention(Enum):
     PAPER_DEF = "paper-def"
 
 
-@dataclass(frozen=True)
-class TraceTerm:
+class TraceTerm(namedtuple("TraceTerm", "at entry sign minor_value contribution")):
     """One contribution of a layer expansion: sign * entry * minor."""
 
+    __slots__ = ()
     at: Index3
     entry: Scalar
     sign: int
@@ -60,10 +60,10 @@ class TraceTerm:
     contribution: Scalar
 
 
-@dataclass(frozen=True)
-class ExpansionTrace:
+class ExpansionTrace(namedtuple("ExpansionTrace", "axis index terms total")):
     """All order**2 terms of one layer expansion, plus their sum."""
 
+    __slots__ = ()
     axis: Axis
     index: int
     terms: tuple[TraceTerm, ...]

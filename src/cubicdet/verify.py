@@ -17,8 +17,7 @@ in the test suite instead.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
 
 from .core3d import ZERO, Axis, CubicMatrix, Scalar, ScalarOverflowError, ShapeError
@@ -68,25 +67,26 @@ class SplitMix64:
         return z ^ (z >> 31)
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(namedtuple("GenSpec", "order seed range")):
     """Recipe for one reproducible random matrix.
 
     Entries are drawn uniformly (up to modulo bias, which is irrelevant
     for identity checks) from the integers in [-range, range].
     """
 
+    __slots__ = ()
     order: int
     seed: int
     range: int
 
-    def __post_init__(self):
-        if self.order not in (1, 2, 3):
-            raise ValueError(f"order must be 1, 2, or 3, got {self.order!r}")
-        if not 0 <= self.seed <= SplitMix64._MASK:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed!r}")
-        if self.range < 1:
-            raise ValueError(f"range must be >= 1, got {self.range!r}")
+    def __new__(cls, order: int, seed: int, range: int):
+        if order not in (1, 2, 3):
+            raise ValueError(f"order must be 1, 2, or 3, got {order!r}")
+        if not 0 <= seed <= SplitMix64._MASK:
+            raise ValueError(f"seed must fit in 64 bits, got {seed!r}")
+        if range < 1:
+            raise ValueError(f"range must be >= 1, got {range!r}")
+        return tuple.__new__(cls, (order, seed, range))
 
 
 def random_cubic(spec: GenSpec) -> CubicMatrix:
@@ -102,18 +102,20 @@ def random_cubic(spec: GenSpec) -> CubicMatrix:
 
 def matrix_digest(A: CubicMatrix) -> str:
     """Short stable identifier: order plus a hash of the canonical text form."""
+    import hashlib  # loads OpenSSL: only verify pays for it, not every CLI start
+
     digest = hashlib.sha256(serialize_text(A).encode("utf-8")).hexdigest()
     return f"order{A.order}:{digest[:16]}"
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(namedtuple("VerifyReport", "subject det_value paths agreements derived_laws overall")):
     """Agreement matrix for one subject.
 
     overall is true iff every path value equals det_value and every
     derived law holds; all comparisons are exact.
     """
 
+    __slots__ = ()
     subject: str
     det_value: Scalar
     paths: dict[str, Scalar]
@@ -169,10 +171,10 @@ def cross_check(A: CubicMatrix) -> VerifyReport:
     return build_report(matrix_digest(A), det_value, paths, laws)
 
 
-@dataclass(frozen=True)
-class BatchSummary:
+class BatchSummary(namedtuple("BatchSummary", "trials failures first_failure")):
     """Outcome of a batch run; first_failure reproduces from the CLI."""
 
+    __slots__ = ()
     trials: int
     failures: int
     first_failure: GenSpec | None
@@ -191,6 +193,8 @@ def batch_verify(orders, trials: int, seed: int, range: int) -> BatchSummary:
             raise ValueError(f"batch orders must be 2 or 3, got {order!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
+    if not 0 <= seed <= SplitMix64._MASK:
+        raise ValueError(f"seed must fit in 64 bits, got {seed!r}")
     # The range argument shadows the builtin here, hence repeat() for the loop.
     rng = SplitMix64(seed)
     run = 0

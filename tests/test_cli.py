@@ -1,6 +1,10 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -224,6 +228,13 @@ class TestVerify:
         code, _, err = run_cli(capsys, ["verify", "--random", "--orders", "1"])
         assert code == 2
 
+    def test_seed_outside_64_bits(self, capsys):
+        # SplitMix64 would mask these onto other seeds while the header echoed them.
+        for seed in ("-5", str(1 << 64)):
+            code, out, err = run_cli(capsys, ["verify", "--random", "--seed", seed])
+            assert (code, out) == (2, "")
+            assert err.endswith(f"error: seed must fit in 64 bits, got {seed}\n")
+
 
 class TestGen:
     def test_matches_frozen_golden_file(self, capsys, data_dir):
@@ -288,6 +299,13 @@ class TestErrorHandling:
             assert (code, out) == (2, "")
             assert err == f"error: {where}: scalar literal of 5000 characters is too long\n"
 
+    def test_order_outside_the_grammar(self, capsys, monkeypatch):
+        for token in ("0_2", "\u0662"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(f"{token}\n1 2\n3 4\n\n5 6\n7 8\n"))
+            code, out, err = run_cli(capsys, ["det", "-"])
+            assert (code, out) == (2, "")
+            assert err == f"error: line 1: order must be an integer, got '{token}'\n"
+
     def test_laplace_index_out_of_range(self, capsys, e1_path):
         code, _, err = run_cli(
             capsys, ["det", e1_path, "--method", "laplace", "--index", "5"]
@@ -304,3 +322,31 @@ class TestDeterminism:
         a = run_cli(capsys, ["det", e2_path, "--method", "laplace", "--trace"])
         b = run_cli(capsys, ["det", e2_path, "--method", "laplace", "--trace"])
         assert a == b
+
+
+# Run in a fresh interpreter: the pytest process has long since imported
+# everything.  Prints the start-up-costly modules `import cubicdet.cli`
+# pulled in, then whether matrix_digest loaded hashlib.
+STARTUP_PROBE = """
+import sys
+before = set(sys.modules)
+import cubicdet.cli
+print(sorted({"dataclasses", "inspect", "hashlib"} & (set(sys.modules) - before)))
+from cubicdet import GenSpec, matrix_digest, random_cubic
+matrix_digest(random_cubic(GenSpec(2, 0, 9)))
+print("hashlib" in sys.modules)
+"""
+
+
+class TestStartup:
+    def test_cli_import_defers_costly_modules(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "[]\nTrue\n"

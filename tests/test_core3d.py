@@ -4,12 +4,17 @@ from cubicdet import (
     ONE,
     ZERO,
     Axis,
+    BatchSummary,
     CubicMatrix,
+    ExpansionTrace,
     GenSpec,
     Index3,
     Scalar,
     ScalarOverflowError,
     ShapeError,
+    SignedTerm,
+    TraceTerm,
+    VerifyReport,
     random_cubic,
 )
 
@@ -99,10 +104,24 @@ class TestIndex3:
         at = Index3(1, 2, 3)
         assert (at.i, at.j, at.k) == (1, 2, 3)
         assert str(at) == "(1,2,3)"
+        assert repr(at) == "Index3(i=1, j=2, k=3)"
         with pytest.raises(IndexError):
             Index3(0, 1, 1)
         with pytest.raises(IndexError):
             Index3(1, -1, 1)
+        with pytest.raises(IndexError, match=r"^entry index \(1,1,0\) must be 1-based"):
+            Index3(i=1, j=1, k=0)
+        # An immutable named tuple.
+        i, j, k = at
+        assert (i, j, k) == at == (1, 2, 3)
+        assert Index3(k=3, i=1, j=2) == at
+        with pytest.raises(AttributeError):
+            at.i = 2
+
+    def test_records_annotate_their_fields(self):
+        # Each record names its fields twice: to namedtuple and as annotations.
+        for record in (Index3, SignedTerm, TraceTerm, ExpansionTrace, GenSpec, VerifyReport, BatchSummary):
+            assert tuple(record.__annotations__) == record._fields
 
 
 class TestAxis:

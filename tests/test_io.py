@@ -75,6 +75,10 @@ class TestTextFormat:
             parse_text("0\n")
         with pytest.raises(ParseError, match="order must be at least 1"):
             parse_text("-2\n")
+        # int() also reads underscores and non-ASCII digits; the grammar does not.
+        for token in ("0_2", "\u0662"):
+            with pytest.raises(ParseError, match=f"^line 1: order must be an integer, got '{token}'$"):
+                parse_text(f"{token}\n1 2\n3 4\n\n5 6\n7 8\n")
 
     def test_missing_row(self):
         with pytest.raises(
@@ -108,6 +112,10 @@ class TestTextFormat:
             parse_text("1\n1/-2\n")
         with pytest.raises(ParseError, match="zero denominator in '3/0'"):
             parse_text("1\n3/0\n")
+        with pytest.raises(ParseError, match="column 2: bad scalar '\u0668'"):
+            parse_text("2\n1 \u0668\n3 4\n\n5 6\n7 8\n")
+        with pytest.raises(ParseError, match="bad scalar '1/\u0662'"):
+            parse_text("1\n1/\u0662\n")
 
     def test_overflow_is_a_parse_error(self):
         ok = parse_text(f"1\n{2**63 - 1}\n")
@@ -219,6 +227,8 @@ class TestJsonFormat:
             parse_json('{"order": 1, "layers": [[["x"]]]}')
         with pytest.raises(ParseError, match="zero denominator"):
             parse_json('{"order": 1, "layers": [[["1/0"]]]}')
+        with pytest.raises(ParseError, match="column 1: bad scalar '\u0662/\u0668'"):
+            parse_json('{"order": 1, "layers": [[["\u0662/\u0668"]]]}')
         with pytest.raises(ParseError, match="numerator .* signed 64-bit"):
             parse_json(f'{{"order": 1, "layers": [[[{2**63}]]]}}')
 

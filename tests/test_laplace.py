@@ -68,6 +68,8 @@ class TestExpand:
             Scalar(-1),
         ]
         assert trace.total == Scalar(-3)
+        with pytest.raises(AttributeError):
+            trace.terms[0].sign = -1
 
     def test_order3_fixed_i1_contributions(self, example2):
         trace = expand(example2, Axis.HORIZONTAL_LAYER, 1)

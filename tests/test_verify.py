@@ -69,6 +69,11 @@ class TestRandomCubic:
             GenSpec(2, 1 << 64, 9)
         with pytest.raises(ValueError, match="range"):
             GenSpec(2, 0, 0)
+        spec = GenSpec(order=3, seed=42, range=9)
+        assert spec == GenSpec(3, 42, 9) == (3, 42, 9)
+        assert repr(spec) == "GenSpec(order=3, seed=42, range=9)"
+        with pytest.raises(ValueError, match="^seed must fit in 64 bits, got -1$"):
+            GenSpec(order=3, seed=-1, range=9)
 
 
 class TestMatrixDigest:
@@ -109,6 +114,8 @@ class TestCrossCheck:
         ]
         assert all(ok for _, ok in report.derived_laws)
         assert report.subject == matrix_digest(example1)
+        with pytest.raises(AttributeError):
+            report.overall = False
 
     def test_order3_report(self, example2):
         report = cross_check(example2)
@@ -192,3 +199,6 @@ class TestBatchVerify:
             batch_verify((1,), trials=1, seed=0, range=9)
         with pytest.raises(ValueError, match="trials"):
             batch_verify((2,), trials=0, seed=0, range=9)
+        for seed in (-5, 1 << 64):
+            with pytest.raises(ValueError, match=f"^seed must fit in 64 bits, got {seed}$"):
+                batch_verify((2,), trials=1, seed=seed, range=9)
