@@ -17,7 +17,7 @@ import sys
 
 from .core3d import Axis, CubicMatrix, Index3, ScalarOverflowError, ShapeError
 from .determinant import det_closed, det_permutation
-from .io import ParseError, _json_scalar, parse_json, parse_text, serialize_text
+from .io import _INTEGER, ParseError, _json_scalar, parse_json, parse_text, serialize_text
 from .laplace import ExpansionTrace, SignConvention, cofactor, det_laplace, expand, minor
 from .verify import GenSpec, batch_verify, cross_check, random_cubic
 
@@ -36,6 +36,17 @@ def _load_matrix(path: str) -> CubicMatrix:
     if text.lstrip()[:1] == "{":
         return parse_json(text)
     return parse_text(text)
+
+
+def _integer(token: str) -> int:
+    """An integer option in the grammar of a file's order: an optional sign and
+    ASCII digits (int() alone also takes "0_5", " 5" and other digits)."""
+    if _INTEGER.match(token) is None:
+        raise ValueError(f"invalid literal for int(): {token!r}")
+    return int(token)
+
+
+_integer.__name__ = "int"  # argparse names the type in "invalid int value: ..."
 
 
 def _print_trace(trace: ExpansionTrace) -> None:
@@ -121,7 +132,7 @@ def _cmd_expand(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     if args.random:
         try:
-            orders = tuple(int(tok) for tok in args.orders.split(","))
+            orders = tuple(_integer(tok) for tok in args.orders.split(","))
         except ValueError:
             parser.error(f"--orders must be comma-separated integers, got {args.orders!r}")
         try:
@@ -172,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--axis", choices=("h", "p", "l"), required=required,
                        default=None if required else "h",
                        help="expansion direction: h fixes i, p fixes j, l fixes k")
-        p.add_argument("--index", type=int, required=required,
+        p.add_argument("--index", type=_integer, required=required,
                        default=None if required else 1,
                        help="1-based layer index along the axis")
 
@@ -188,16 +199,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_minor = sub.add_parser("minor", help="minor of one entry")
     p_minor.add_argument("file")
-    p_minor.add_argument("i", type=int)
-    p_minor.add_argument("j", type=int)
-    p_minor.add_argument("k", type=int)
+    p_minor.add_argument("i", type=_integer)
+    p_minor.add_argument("j", type=_integer)
+    p_minor.add_argument("k", type=_integer)
     p_minor.set_defaults(func=_cmd_minor)
 
     p_cof = sub.add_parser("cofactor", help="signed minor of one entry")
     p_cof.add_argument("file")
-    p_cof.add_argument("i", type=int)
-    p_cof.add_argument("j", type=int)
-    p_cof.add_argument("k", type=int)
+    p_cof.add_argument("i", type=_integer)
+    p_cof.add_argument("j", type=_integer)
+    p_cof.add_argument("k", type=_integer)
     p_cof.add_argument("--convention", choices=("expansion", "paper-def"), default="expansion",
                        help="sign convention: (-1)^(j+k) (default) or (-1)^(i+j+k)")
     p_cof.set_defaults(func=_cmd_cofactor)
@@ -213,16 +224,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--random", action="store_true",
                        help="batch-verify seeded random matrices instead of a file")
     p_ver.add_argument("--orders", default="2,3", help="comma-separated orders (default 2,3)")
-    p_ver.add_argument("--trials", type=int, default=100, help="trials per order (default 100)")
-    p_ver.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p_ver.add_argument("--range", type=int, default=9,
+    p_ver.add_argument("--trials", type=_integer, default=100, help="trials per order (default 100)")
+    p_ver.add_argument("--seed", type=_integer, default=0, help="master seed (default 0)")
+    p_ver.add_argument("--range", type=_integer, default=9,
                        help="entries drawn from [-range, range] (default 9)")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_gen = sub.add_parser("gen", help="emit a seeded random matrix in canonical text form")
-    p_gen.add_argument("--order", type=int, required=True, help="matrix order (1, 2, or 3)")
-    p_gen.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
-    p_gen.add_argument("--range", type=int, default=9,
+    p_gen.add_argument("--order", type=_integer, required=True, help="matrix order (1, 2, or 3)")
+    p_gen.add_argument("--seed", type=_integer, default=0, help="generator seed (default 0)")
+    p_gen.add_argument("--range", type=_integer, default=9,
                        help="entries drawn from [-range, range] (default 9)")
     p_gen.set_defaults(func=_cmd_gen)
 
@@ -234,10 +245,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (ParseError, ShapeError, ScalarOverflowError, IndexError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (ParseError, ShapeError, ScalarOverflowError, IndexError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

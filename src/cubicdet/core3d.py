@@ -167,6 +167,10 @@ class Index3(namedtuple("Index3", "i j k")):
             raise IndexError(f"entry index ({i},{j},{k}) must be 1-based (components >= 1)")
         return tuple.__new__(cls, (i, j, k))
 
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # namedtuple's _make and _replace skip __new__
+
     def __str__(self) -> str:
         return f"({self.i},{self.j},{self.k})"
 

@@ -88,6 +88,10 @@ class GenSpec(namedtuple("GenSpec", "order seed range")):
             raise ValueError(f"range must be >= 1, got {range!r}")
         return tuple.__new__(cls, (order, seed, range))
 
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # namedtuple's _make and _replace skip __new__
+
 
 def random_cubic(spec: GenSpec) -> CubicMatrix:
     """The matrix named by spec: splitmix64 outputs, consumed in

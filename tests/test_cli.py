@@ -7,9 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cubicdet import Scalar, build_report, cross_check
-from cubicdet.cli import main
+from cubicdet.cli import _integer, main
+from cubicdet.io import _INTEGER
 
 E1_TRACE = """\
 axis h index 1
@@ -299,12 +302,27 @@ class TestErrorHandling:
             assert (code, out) == (2, "")
             assert err == f"error: {where}: scalar literal of 5000 characters is too long\n"
 
-    def test_order_outside_the_grammar(self, capsys, monkeypatch):
+    def test_order_outside_the_grammar(self, capsys, monkeypatch, e2_path):
         for token in ("0_2", "\u0662"):
             monkeypatch.setattr("sys.stdin", io.StringIO(f"{token}\n1 2\n3 4\n\n5 6\n7 8\n"))
             code, out, err = run_cli(capsys, ["det", "-"])
             assert (code, out) == (2, "")
             assert err == f"error: line 1: order must be an integer, got '{token}'\n"
+        # Integer options follow the same grammar.
+        for argv, message in (
+            (["gen", "--order", "\u0662"], "argument --order: invalid int value: '\u0662'"),
+            (["gen", "--order", "2", "--seed", "0_5"], "argument --seed: invalid int value: '0_5'"),
+            (["minor", e2_path, "1", "\u0662", "1"], "argument j: invalid int value: '\u0662'"),
+            (["verify", "--random", "--orders", "\u0662"],
+             "--orders must be comma-separated integers, got '\u0662'"),
+        ):
+            code, out, err = run_cli(capsys, argv)
+            assert (code, out) == (2, "")
+            assert err.endswith(f" error: {message}\n")
+
+    def test_deep_json_nesting_is_located(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"order": 2, "layers": ' + "[" * 100000))
+        assert run_cli(capsys, ["det", "-"]) == (2, "", "error: line 1: JSON nested too deeply\n")
 
     def test_laplace_index_out_of_range(self, capsys, e1_path):
         code, _, err = run_cli(
@@ -312,6 +330,15 @@ class TestErrorHandling:
         )
         assert code == 2
         assert "out of range" in err
+
+
+@given(st.one_of(st.text(), st.text(alphabet="+-_ \t0123456789\u0662"), st.integers().map(str)))
+def test_integer_options_follow_the_grammar(token):
+    if _INTEGER.match(token) is None:
+        with pytest.raises(ValueError):
+            _integer(token)
+    else:
+        assert _integer(token) == int(token)
 
 
 class TestDeterminism:

@@ -117,6 +117,12 @@ class TestIndex3:
         assert Index3(k=3, i=1, j=2) == at
         with pytest.raises(AttributeError):
             at.i = 2
+        # namedtuple's _make and _replace validate like the constructor.
+        assert Index3._make([1, 2, 3]) == at._replace(k=3) == at
+        with pytest.raises(IndexError, match=r"^entry index \(0,1,1\) must be 1-based"):
+            Index3._make((0, 1, 1))
+        with pytest.raises(IndexError, match=r"^entry index \(1,2,0\) must be 1-based"):
+            at._replace(k=0)
 
     def test_records_annotate_their_fields(self):
         # Each record names its fields twice: to namedtuple and as annotations.

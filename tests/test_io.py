@@ -1,4 +1,8 @@
+import json
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cubicdet import (
     CubicMatrix,
@@ -177,6 +181,11 @@ class TestJsonFormat:
         with pytest.raises(ParseError, match=r"line 2 column \d+"):
             parse_json('{"order": 2,\n "layers": }')
 
+    def test_deep_nesting_is_a_located_parse_error(self):
+        # json.loads recurses once per bracket.
+        with pytest.raises(ParseError, match="^line 1: JSON nested too deeply$"):
+            parse_json('{"order": 2, "layers": ' + "[" * 100000)
+
     def test_top_level_shape(self):
         with pytest.raises(ParseError, match="expected a JSON object, got list"):
             parse_json("[1, 2]")
@@ -252,3 +261,94 @@ class TestCrossFormat:
     def test_canonical_output_is_stable(self, example2):
         once = serialize_text(parse_json(serialize_json(example2)))
         assert once == serialize_text(example2)
+
+
+# Text-format tokens: integers, p/q literals, the 64-bit edges, literals
+# past the int-conversion digit limit, and characters the grammar rejects.
+TOKENS = st.one_of(
+    st.integers().map(str),
+    st.builds("{}/{}".format, st.integers(), st.integers()),
+    st.sampled_from(("-0", "+7", str(2**63), str(-(2**63) - 1), "7" * 5000, "1/" + "7" * 5000)),
+    st.text(alphabet="0123456789+-/_.x \u0662", min_size=1),
+)
+
+
+@st.composite
+def text_documents(draw):
+    n = draw(st.integers(1, 3))
+    # Mostly the order that matches the layout, so that entries get read.
+    order = str(n) if draw(st.integers(0, 3)) else draw(TOKENS)
+    rows = [" ".join(draw(st.lists(TOKENS, min_size=n, max_size=n))) for _ in range(n * n)]
+    blocks = ["\n".join(rows[k * n:(k + 1) * n]) for k in range(n)]
+    return order + "\n" + "\n\n".join(blocks) + "\n"
+
+
+@given(st.one_of(st.text(), text_documents()))
+def test_parse_text_raises_only_parse_errors(text):
+    try:
+        parse_text(text)
+    except ParseError:
+        pass
+
+
+# JSON values as source text: ints of any size, floats, bools, null,
+# strings (some of them p/q) and nested lists of all of these.
+JSON_SCALARS = st.one_of(
+    st.integers().map(str),
+    st.sampled_from(("-0", str(2**63), str(-(2**63) - 1), "7" * 5000, "-" + "7" * 5000)),
+    st.floats().map(json.dumps),
+    st.sampled_from(("true", "false", "null")),
+    st.text().map(json.dumps),
+    st.builds("{}/{}".format, st.integers(), st.integers()).map(json.dumps),
+)
+
+
+def json_arrays(items):
+    return st.lists(items, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]")
+
+
+JSON_VALUES = st.one_of(JSON_SCALARS, json_arrays(JSON_SCALARS), json_arrays(json_arrays(JSON_SCALARS)))
+
+
+@st.composite
+def json_documents(draw):
+    n = draw(st.integers(1, 3))
+    order = str(n) if draw(st.integers(0, 3)) else draw(JSON_VALUES)
+    entries = st.one_of(st.integers().map(str), JSON_VALUES)
+    cells = iter(draw(st.lists(entries, min_size=n**3, max_size=n**3)))
+
+    def nest(depth):
+        items = [next(cells) if depth == 1 else nest(depth - 1) for _ in range(n)]
+        return "[" + ", ".join(items) + "]"
+
+    layers = nest(3) if draw(st.integers(0, 3)) else draw(JSON_VALUES)
+    return f'{{"order": {order}, "layers": {layers}}}'
+
+
+@given(json_documents())
+def test_parse_json_raises_only_parse_errors(text):
+    try:
+        parse_json(text)
+    except ParseError:
+        pass
+
+
+# Entries at the edges of the 64-bit ranges, and anywhere between.
+ENTRIES = st.builds(
+    Scalar,
+    st.one_of(st.sampled_from((-(2**63), 2**63 - 1, 0)), st.integers(-(2**63), 2**63 - 1)),
+    st.one_of(st.sampled_from((1, 2**64 - 1)), st.integers(1, 2**64 - 1)),
+)
+
+
+@st.composite
+def cubics(draw):
+    n = draw(st.integers(1, 3))
+    cells = iter(draw(st.lists(ENTRIES, min_size=n**3, max_size=n**3)))
+    return CubicMatrix(n, [[[next(cells) for _ in range(n)] for _ in range(n)] for _ in range(n)])
+
+
+@given(cubics())
+def test_round_trip_at_the_64_bit_edges(A):
+    assert parse_text(serialize_text(A)) == A
+    assert parse_json(serialize_json(A)) == A

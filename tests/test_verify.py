@@ -74,6 +74,12 @@ class TestRandomCubic:
         assert repr(spec) == "GenSpec(order=3, seed=42, range=9)"
         with pytest.raises(ValueError, match="^seed must fit in 64 bits, got -1$"):
             GenSpec(order=3, seed=-1, range=9)
+        # namedtuple's _make and _replace validate like the constructor.
+        assert GenSpec._make([3, 42, 9]) == spec._replace(seed=42) == spec
+        with pytest.raises(ValueError, match="^seed must fit in 64 bits, got -1$"):
+            spec._replace(seed=-1)
+        with pytest.raises(ValueError, match="^order must be 1, 2, or 3, got 4$"):
+            GenSpec._make((4, 0, 9))
 
 
 class TestMatrixDigest:
