@@ -80,18 +80,22 @@ def _trace_json(trace: ExpansionTrace) -> dict:
 
 
 def _cmd_det(args, parser) -> int:
-    if args.trace and args.method in ("closed", "perm"):
-        parser.error("--trace requires --method laplace")
+    if args.method != "laplace":
+        if args.trace:
+            parser.error("--trace requires --method laplace")
+        if args.axis is not None or args.index is not None:
+            parser.error("--axis and --index require --method laplace")
     A = _load_matrix(args.file)
     if args.method == "closed":
         value = det_closed(A)
     elif args.method == "perm":
         value = det_permutation(A)
     else:
-        axis = Axis.from_letter(args.axis)
-        value = det_laplace(A, axis, args.index)
+        axis = Axis.from_letter(args.axis or "h")
+        index = 1 if args.index is None else args.index
+        value = det_laplace(A, axis, index)
     if args.trace:
-        trace = expand(A, Axis.from_letter(args.axis), args.index)
+        trace = expand(A, axis, index)
         if args.json:
             print(json.dumps({"det": _json_scalar(value), "trace": _trace_json(trace)}))
         else:
@@ -181,10 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_axis_flags(p, required: bool):
         p.add_argument("--axis", choices=("h", "p", "l"), required=required,
-                       default=None if required else "h",
                        help="expansion direction: h fixes i, p fixes j, l fixes k")
         p.add_argument("--index", type=_integer, required=required,
-                       default=None if required else 1,
                        help="1-based layer index along the axis")
 
     p_det = sub.add_parser("det", help="determinant of a matrix file")
@@ -195,14 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--trace", action="store_true",
                        help="print the per-term expansion trace (laplace method only)")
     p_det.add_argument("--json", action="store_true", help="machine-readable output")
-    p_det.set_defaults(func=_cmd_det)
+    p_det.set_defaults(func=_cmd_det, parser=p_det)
 
     p_minor = sub.add_parser("minor", help="minor of one entry")
     p_minor.add_argument("file")
     p_minor.add_argument("i", type=_integer)
     p_minor.add_argument("j", type=_integer)
     p_minor.add_argument("k", type=_integer)
-    p_minor.set_defaults(func=_cmd_minor)
+    p_minor.set_defaults(func=_cmd_minor, parser=p_minor)
 
     p_cof = sub.add_parser("cofactor", help="signed minor of one entry")
     p_cof.add_argument("file")
@@ -211,12 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cof.add_argument("k", type=_integer)
     p_cof.add_argument("--convention", choices=("expansion", "paper-def"), default="expansion",
                        help="sign convention: (-1)^(j+k) (default) or (-1)^(i+j+k)")
-    p_cof.set_defaults(func=_cmd_cofactor)
+    p_cof.set_defaults(func=_cmd_cofactor, parser=p_cof)
 
     p_exp = sub.add_parser("expand", help="full single-layer expansion trace")
     p_exp.add_argument("file")
     add_axis_flags(p_exp, required=True)
-    p_exp.set_defaults(func=_cmd_expand)
+    p_exp.set_defaults(func=_cmd_expand, parser=p_exp)
 
     p_ver = sub.add_parser("verify", help="cross-check all determinant paths and laws")
     p_ver.add_argument("file", nargs="?", default=None,
@@ -228,14 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=_integer, default=0, help="master seed (default 0)")
     p_ver.add_argument("--range", type=_integer, default=9,
                        help="entries drawn from [-range, range] (default 9)")
-    p_ver.set_defaults(func=_cmd_verify)
+    p_ver.set_defaults(func=_cmd_verify, parser=p_ver)
 
     p_gen = sub.add_parser("gen", help="emit a seeded random matrix in canonical text form")
     p_gen.add_argument("--order", type=_integer, required=True, help="matrix order (1, 2, or 3)")
     p_gen.add_argument("--seed", type=_integer, default=0, help="generator seed (default 0)")
     p_gen.add_argument("--range", type=_integer, default=9,
                        help="entries drawn from [-range, range] (default 9)")
-    p_gen.set_defaults(func=_cmd_gen)
+    p_gen.set_defaults(func=_cmd_gen, parser=p_gen)
 
     return parser
 
@@ -244,7 +246,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except (ParseError, ShapeError, ScalarOverflowError, IndexError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -114,11 +114,6 @@ class Scalar:
     def __neg__(self) -> "Scalar":
         return Scalar(-self.num, self.den)
 
-    def reciprocal(self) -> "Scalar":
-        if self.num == 0:
-            raise ZeroDivisionError("zero has no reciprocal")
-        return Scalar(self.den, self.num)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Scalar):
             return NotImplemented
@@ -250,12 +245,6 @@ _LAYER_FLAT = {
 }
 
 
-def _scaled(cells: tuple[Scalar, ...]) -> tuple[int, tuple[int, ...]]:
-    """The lcm of the cells' denominators, and each cell times it."""
-    scale = math.lcm(*[c.den for c in cells])
-    return scale, tuple([c.num * (scale // c.den) for c in cells])
-
-
 class CubicMatrix:
     """A dense order-n cubic matrix (n in {1, 2, 3}) of exact scalars.
 
@@ -267,14 +256,23 @@ class CubicMatrix:
     >>> print(A.get(Index3(2, 1, 2)))
     -7
 
-    Alongside the cells it keeps ``_scale``, the lcm of their
-    denominators, and ``_ints``, every cell times ``_scale``.  Every
+    The entries are held as integers over one common denominator:
+    ``_ints[f] / _scale`` is the entry at flat index f, in lowest terms
+    ``gcd(_scale, *_ints) == 1``, so ``_scale`` is the lcm of the
+    reduced denominators and equal matrices have equal fields.  Every
     determinant monomial is a product of exactly ``order`` entries, so
     the determinant is the one of ``_ints`` divided by
     ``_scale**order``, and the determinant routes run on plain ints.
+    Scalars are built only for values read out of the matrix.
+
+    >>> B = A.scale_layer(Axis.VERTICAL_LAYER, 2, Scalar(1, 2))
+    >>> B._scale, B._ints
+    (2, (8, -6, -2, 10, -2, 4, -7, 3))
+    >>> print(B[2, 1, 2])
+    -7/2
     """
 
-    __slots__ = ("order", "_cells", "_scale", "_ints")
+    __slots__ = ("order", "_scale", "_ints")
 
     def __init__(self, order: int, layers):
         if not isinstance(order, int) or isinstance(order, bool) or order < 1:
@@ -301,28 +299,36 @@ class CubicMatrix:
                         f"expected {order}: {NOT_CUBIC_MESSAGE}"
                     )
                 cells.extend(_to_scalar(v) for v in values)
+        # The lcm of reduced denominators leaves no common factor to divide out.
         self.order = order
-        self._cells = tuple(cells)
-        self._scale, self._ints = _scaled(self._cells)
+        self._scale = math.lcm(*[c.den for c in cells])
+        self._ints = tuple([c.num * (self._scale // c.den) for c in cells])
 
     @classmethod
-    def _from_cells(cls, order: int, cells: tuple[Scalar, ...], scaled=None) -> "CubicMatrix":
-        """A matrix over ``cells``; ``scaled`` is their ``(_scale, _ints)`` when known."""
+    def _reduced(cls, order: int, scale: int, ints, changed=()) -> "CubicMatrix":
+        """The matrix of entries ``ints[f] / scale`` in lowest terms.  The
+        first entry of ``changed``, in order, whose reduced value leaves
+        the bounds raises ScalarOverflowError as Scalar does; an entry
+        whose int and ``scale`` are in bounds cannot, and is skipped."""
+        g = math.gcd(scale, *ints)
+        if g > 1:
+            scale //= g
+            ints = [v // g for v in ints]
+        wide = scale > _DEN_MAX
+        for f in changed:
+            if wide or not _NUM_MIN <= ints[f] <= _NUM_MAX:
+                Scalar(ints[f], scale)
         m = object.__new__(cls)
         m.order = order
-        m._cells = cells
-        m._scale, m._ints = _scaled(cells) if scaled is None else scaled
+        m._scale = scale
+        m._ints = tuple(ints)
         return m
 
     @classmethod
     def zeros(cls, order: int) -> "CubicMatrix":
         if order not in (1, 2, 3):
             raise ShapeError(f"order must be 1, 2, or 3, got {order!r}")
-        return cls._from_cells(order, (ZERO,) * order**3)
-
-    def _at(self, i: int, j: int, k: int) -> Scalar:
-        n = self.order
-        return self._cells[(k - 1) * n * n + (i - 1) * n + (j - 1)]
+        return cls._reduced(order, 1, (0,) * order**3)
 
     def _check_range(self, at: Index3) -> None:
         n = self.order
@@ -331,7 +337,7 @@ class CubicMatrix:
 
     def get(self, at: Index3) -> Scalar:
         self._check_range(at)
-        return self._at(at.i, at.j, at.k)
+        return Scalar(self._ints[_flat(self.order, at.i, at.j, at.k)], self._scale)
 
     def __getitem__(self, key) -> Scalar:
         if isinstance(key, Index3):
@@ -342,29 +348,15 @@ class CubicMatrix:
     def layers(self) -> list[list[list[Scalar]]]:
         """Entries as nested lists indexed [k-1][i-1][j-1]."""
         n = self.order
-        return [
-            [[self._at(i, j, k) for j in range(1, n + 1)] for i in range(1, n + 1)]
-            for k in range(1, n + 1)
-        ]
-
-    def add(self, other: "CubicMatrix") -> "CubicMatrix":
-        if not isinstance(other, CubicMatrix):
-            raise TypeError(f"cannot add CubicMatrix and {type(other).__name__}")
-        if self.order != other.order:
-            raise ShapeError(f"order mismatch: {self.order} vs {other.order}")
-        return CubicMatrix._from_cells(
-            self.order, tuple(a + b for a, b in zip(self._cells, other._cells))
-        )
-
-    __add__ = add
+        cells = [Scalar(v, self._scale) for v in self._ints]
+        rows = [cells[f : f + n] for f in range(0, n**3, n)]
+        return [rows[k : k + n] for k in range(0, n * n, n)]
 
     def scale(self, c) -> "CubicMatrix":
-        """Entrywise scalar multiple (plumbing for algebraic tests)."""
+        """Entrywise scalar multiple."""
         c = _to_scalar(c)
-        return CubicMatrix._from_cells(self.order, tuple(c * v for v in self._cells))
-
-    def __neg__(self) -> "CubicMatrix":
-        return self.scale(-1)
+        ints = [c.num * v for v in self._ints]
+        return CubicMatrix._reduced(self.order, c.den * self._scale, ints, range(len(ints)))
 
     def delete_sub(self, at: Index3) -> "CubicMatrix":
         """The order-(n-1) matrix left after removing horizontal layer
@@ -373,9 +365,9 @@ class CubicMatrix:
         if self.order == 1:
             raise ShapeError("an order-1 matrix has no sub-matrices to delete down to")
         self._check_range(at)
-        cells = self._cells
+        ints = self._ints
         kept = _DELETE_TABLE[(self.order, at.i, at.j, at.k)]
-        return CubicMatrix._from_cells(self.order - 1, tuple(cells[f] for f in kept))
+        return CubicMatrix._reduced(self.order - 1, self._scale, [ints[f] for f in kept])
 
     def scale_layer(self, axis: Axis, index: int, c) -> "CubicMatrix":
         """Multiply every entry whose axis-coordinate equals index by c."""
@@ -383,10 +375,13 @@ class CubicMatrix:
         if not 1 <= index <= n:
             raise IndexError(f"{axis.letter}-layer index {index} out of range for an order-{n} matrix")
         c = _to_scalar(c)
-        cells = list(self._cells)
-        for f in _LAYER_FLAT[(n, axis, index)]:
-            cells[f] = c * cells[f]
-        return CubicMatrix._from_cells(n, tuple(cells))
+        layer = _LAYER_FLAT[(n, axis, index)]
+        # Over the common denominator scale * c.den, the layer's entries
+        # gain the factor c.num and the others c.den.
+        ints = [c.den * v for v in self._ints]
+        for f in layer:
+            ints[f] = c.num * self._ints[f]
+        return CubicMatrix._reduced(n, c.den * self._scale, ints, layer)
 
     def swap_layers(self, axis: Axis, a: int, b: int) -> "CubicMatrix":
         """Exchange layers a and b along the given axis."""
@@ -396,29 +391,23 @@ class CubicMatrix:
                 raise IndexError(f"{axis.letter}-layer index {index} out of range for an order-{n} matrix")
         if a == b:
             return self
-        cells = list(self._cells)
         ints = list(self._ints)
         for fa, fb in zip(_LAYER_FLAT[(n, axis, a)], _LAYER_FLAT[(n, axis, b)]):
-            cells[fa], cells[fb] = cells[fb], cells[fa]
             ints[fa], ints[fb] = ints[fb], ints[fa]
-        # Permuting cells leaves the lcm of their denominators as it is.
-        return CubicMatrix._from_cells(n, tuple(cells), (self._scale, tuple(ints)))
+        return CubicMatrix._reduced(n, self._scale, ints)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CubicMatrix):
             return NotImplemented
-        return self.order == other.order and self._cells == other._cells
+        return (self.order, self._scale, self._ints) == (other.order, other._scale, other._ints)
 
     def __hash__(self) -> int:
-        return hash((self.order, self._cells))
+        return hash((self.order, self._scale, self._ints))
 
     def __repr__(self) -> str:
+        layers = self.layers()
         body = "; ".join(
-            " | ".join(
-                " ".join(str(self._at(i, j, k)) for j in range(1, self.order + 1))
-                for k in range(1, self.order + 1)
-            )
-            for i in range(1, self.order + 1)
+            " | ".join(" ".join(str(v) for v in block[i]) for block in layers)
+            for i in range(self.order)
         )
         return f"<CubicMatrix order={self.order}: {body}>"
-

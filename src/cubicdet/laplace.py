@@ -134,9 +134,8 @@ def expand(A: CubicMatrix, axis: Axis, index: int) -> ExpansionTrace:
     total = 0
     for at, f, sign, minor_value, contribution in _contributions(A, axis, index):
         total += contribution
-        terms.append(
-            TraceTerm(at, A._cells[f], sign, Scalar(minor_value, minor_den), Scalar(contribution, den))
-        )
+        entry = Scalar(A._ints[f], A._scale)
+        terms.append(TraceTerm(at, entry, sign, Scalar(minor_value, minor_den), Scalar(contribution, den)))
     return ExpansionTrace(axis, index, tuple(terms), Scalar(total, den))
 
 
@@ -158,17 +157,26 @@ def _expansion_total(A: CubicMatrix, axis: Axis, index: int) -> Scalar:
     return Scalar(total, den)
 
 
-def _laplace_sum(order: int, ints, axis: Axis, index: int) -> int:
-    """det_laplace on flat int cells, recursing on the kept cells."""
-    if order == 1:
-        return ints[0]
-    total = 0
-    for at, f, kept in _LAYERS[(order, axis, index)]:
-        entry = ints[f]
-        if entry:
-            sub = [ints[g] for g in kept]
-            total += sign_expansion(at) * entry * _laplace_sum(order - 1, sub, axis, 1)
-    return total
+def _laplace_table() -> dict:
+    """det_laplace's recursion, unrolled over flat indices into the
+    (order!)**2 rows (sign, f1, ..., fn) it sums per (order, axis, index).
+
+    Built from _LAYERS and sign_expansion alone, never from _FLAT or
+    perm_terms, so the routes stay independent; built at import, so no
+    later patch of sign_expansion is captured.
+    """
+    table = {(1, axis, 1): ((1, 0),) for axis in Axis}
+    for (order, axis, index), layer in _LAYERS.items():  # order 2 before order 3
+        minor_rows = table[(order - 1, axis, 1)]
+        rows = []
+        for at, f, kept in layer:
+            s = sign_expansion(at)
+            rows += [(s * sign, f, *[kept[g] for g in cells]) for sign, *cells in minor_rows]
+        table[(order, axis, index)] = tuple(rows)
+    return table
+
+
+_LAPLACE_FLAT = _laplace_table()
 
 
 def det_laplace(A: CubicMatrix, axis: Axis = Axis.HORIZONTAL_LAYER, index: int = 1) -> Scalar:
@@ -177,11 +185,11 @@ def det_laplace(A: CubicMatrix, axis: Axis = Axis.HORIZONTAL_LAYER, index: int =
     An order-1 matrix is its own determinant (the base case).  Otherwise
     the fixed layer's entries are summed as sign * entry * det of the
     deleted sub-matrix, recursing along the same axis at layer 1 (any
-    fixed choice is valid since the expansions agree; a fixed one keeps
-    evaluation deterministic).
+    fixed choice is valid since the expansions agree).  The recursion
+    runs once, at import: this sums the signed monomials it reaches.
     """
     _check_layer_index(A, axis, index)
-    return Scalar(_laplace_sum(A.order, A._ints, axis, index), A._scale**A.order)
+    return Scalar(_table_sum(A.order, _LAPLACE_FLAT[(A.order, axis, index)], A._ints), A._scale**A.order)
 
 
 def expand_all(A: CubicMatrix) -> list[ExpansionTrace]:

@@ -98,10 +98,8 @@ def random_cubic(spec: GenSpec) -> CubicMatrix:
     canonical (k-major) cell order, each mapped to (x mod (2R+1)) - R."""
     rng = SplitMix64(spec.seed)
     span = 2 * spec.range + 1
-    cells = tuple(
-        Scalar(rng.next() % span - spec.range) for _ in range(spec.order**3)
-    )
-    return CubicMatrix._from_cells(spec.order, cells)
+    ints = [rng.next() % span - spec.range for _ in range(spec.order**3)]
+    return CubicMatrix._reduced(spec.order, 1, ints, range(len(ints)))
 
 
 def matrix_digest(A: CubicMatrix) -> str:

@@ -91,6 +91,12 @@ class TestDet:
         code, _, err = run_cli(capsys, ["det", e1_path, "--method", "perm", "--trace"])
         assert code == 2
 
+    def test_axis_and_index_need_laplace(self, capsys, e1_path):
+        for flags in (["--index", "9", "--axis", "p"], ["--index", "1"], ["--method", "perm", "--axis", "h"]):
+            code, out, err = run_cli(capsys, ["det", e1_path, *flags])
+            assert (code, out) == (2, "")
+            assert err.endswith("cubicdet det: error: --axis and --index require --method laplace\n")
+
     def test_stdin_both_formats(self, capsys, monkeypatch, e1_path):
         text = open(e1_path, encoding="utf-8").read()
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
@@ -219,6 +225,13 @@ class TestVerify:
         code, out, err = run_cli(capsys, ["verify", str(path)])
         assert (code, out, err) == (2, "", f"error: {cause}\n")
 
+    def test_scale_law_overflow(self, capsys, tmp_path):
+        # det is 2**62, and the x2 scale law doubles a_111 past the numerator bound.
+        path = tmp_path / "m.txt"
+        path.write_text(f"2\n{2**62} 0\n0 0\n\n0 0\n0 1\n")
+        cause = "numerator 9223372036854775808 outside the signed 64-bit range"
+        assert run_cli(capsys, ["verify", str(path)]) == (2, "", f"error: {cause}\n")
+
     def test_needs_file_or_random(self, capsys):
         code, _, err = run_cli(capsys, ["verify"])
         assert code == 2
@@ -258,6 +271,11 @@ class TestGen:
         code, _, err = run_cli(capsys, ["gen", "--order", "4"])
         assert code == 2
         assert "order" in err
+
+    def test_entry_overflow(self, capsys):
+        cause = "numerator -97907210574996860947 outside the signed 64-bit range"
+        argv = ["gen", "--order", "2", "--seed", "3", "--range", str(10**20)]
+        assert run_cli(capsys, argv) == (2, "", f"error: {cause}\n")
 
 
 class TestErrorHandling:
@@ -323,6 +341,16 @@ class TestErrorHandling:
     def test_deep_json_nesting_is_located(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO('{"order": 2, "layers": ' + "[" * 100000))
         assert run_cli(capsys, ["det", "-"]) == (2, "", "error: line 1: JSON nested too deeply\n")
+
+    def test_value_errors_name_the_subcommand(self, capsys):
+        for argv, message in (
+            (["gen", "--order", "0"], "order must be 1, 2, or 3, got 0"),
+            (["verify", "--random", "--trials", "0"], "trials must be >= 1, got 0"),
+        ):
+            code, out, err = run_cli(capsys, argv)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"usage: cubicdet {argv[0]} [-h]")
+            assert err.endswith(f"\ncubicdet {argv[0]}: error: {message}\n")
 
     def test_laplace_index_out_of_range(self, capsys, e1_path):
         code, _, err = run_cli(

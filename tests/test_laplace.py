@@ -1,3 +1,6 @@
+import math
+from collections import Counter
+
 import pytest
 
 from cubicdet import (
@@ -17,6 +20,8 @@ from cubicdet import (
     minor,
     random_cubic,
 )
+from cubicdet.determinant import _perm_flat
+from cubicdet.laplace import _LAPLACE_FLAT
 
 
 class TestMinor:
@@ -169,6 +174,17 @@ class TestDetLaplace:
     def test_index_out_of_range(self, example2):
         with pytest.raises(IndexError, match="l-layer index 4 out of range"):
             det_laplace(example2, Axis.VERTICAL_LAYER, 4)
+
+    def test_table_has_the_permutation_monomials(self):
+        # The table is derived from the layer structure alone; its rows
+        # list the layer entry first, so compare them as sorted cells.
+        def monomials(rows):
+            return Counter((sign, *sorted(cells)) for sign, *cells in rows)
+
+        assert len(_LAPLACE_FLAT) == 18
+        for (order, axis, index), rows in _LAPLACE_FLAT.items():
+            assert len(rows) == math.factorial(order) ** 2
+            assert monomials(rows) == monomials(_perm_flat(order)), (order, axis, index)
 
 
 class TestExpandAll:

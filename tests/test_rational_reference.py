@@ -9,6 +9,7 @@ cubicdet: a plain double sum over permutation pairs in Fractions.
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from cubicdet import (
     CubicMatrix,
     Index3,
     Scalar,
+    ScalarOverflowError,
     SignConvention,
     cofactor,
     cross_check,
@@ -45,20 +47,42 @@ def leibniz(a, n):
     return total
 
 
-def reference_minor(a, n, i, j, k):
-    """det after deleting layer i, page j and slice k (0-based)."""
+def reference_sub(a, n, i, j, k):
+    """The cells left after deleting layer i, page j and slice k (0-based)."""
     xs, ys, zs = ([v for v in range(n) if v != drop] for drop in (i, j, k))
-    sub = {
+    return {
         (si, sj, sk): a[(x, y, z)]
         for si, x in enumerate(xs)
         for sj, y in enumerate(ys)
         for sk, z in enumerate(zs)
     }
-    return leibniz(sub, n - 1)
+
+
+def reference_minor(a, n, i, j, k):
+    """det after deleting layer i, page j and slice k (0-based)."""
+    return leibniz(reference_sub(a, n, i, j, k), n - 1)
 
 
 def frac(s):
     return Fraction(s.num, s.den)
+
+
+def scalar(f):
+    return Scalar(f.numerator, f.denominator)
+
+
+def matrix(n, a):
+    return CubicMatrix(n, [[[scalar(a[(i, j, k)]) for j in range(n)] for i in range(n)] for k in range(n)])
+
+
+def entries(A):
+    """A's entries as Fractions, keyed by 0-based (i, j, k)."""
+    return {
+        (i, j, k): frac(v)
+        for k, block in enumerate(A.layers())
+        for i, row in enumerate(block)
+        for j, v in enumerate(row)
+    }
 
 
 # Mixed p/q entries: denominators 1..12 so that cells of one matrix have
@@ -79,8 +103,7 @@ def rational_cubics(draw):
 @given(rational_cubics())
 def test_every_route_matches_the_reference(subject):
     n, a = subject
-    cells = {at: Scalar(f.numerator, f.denominator) for at, f in a.items()}
-    A = CubicMatrix(n, [[[cells[(i, j, k)] for j in range(n)] for i in range(n)] for k in range(n)])
+    A = matrix(n, a)
     det = leibniz(a, n)
     minors = {(i, j, k): reference_minor(a, n, i, j, k) for (i, j, k) in a}
 
@@ -104,3 +127,72 @@ def test_every_route_matches_the_reference(subject):
         assert frac(minor(A, at)) == m
         assert frac(cofactor(A, at, SignConvention.EXPANSION)) == (-1) ** (j + k) * m
         assert frac(cofactor(A, at, SignConvention.PAPER_DEF)) == (-1) ** (i + j + k + 1) * m
+
+
+NUM_MIN, NUM_MAX, DEN_MAX = -(2**63), 2**63 - 1, 2**64 - 1
+
+# Components up to the 64-bit bounds, the bounds themselves often.
+EDGE_NUM = st.one_of(st.sampled_from((NUM_MIN, NUM_MAX, 2**62, -(2**62), 3)), st.integers(NUM_MIN, NUM_MAX))
+EDGE = st.builds(Fraction, EDGE_NUM, st.one_of(st.sampled_from((1, 2, 2**63, DEN_MAX)), st.integers(1, DEN_MAX)))
+
+
+@st.composite
+def edge_cubics(draw):
+    # Integer matrices too, whose products can land just past a bound
+    # while the common denominator stays 1.
+    n = draw(st.sampled_from((2, 3)))
+    entry = draw(st.sampled_from((EDGE_NUM.map(Fraction), st.one_of(ENTRY, EDGE))))
+    cells = iter(draw(st.lists(entry, min_size=n**3, max_size=n**3)))
+    return n, {(i, j, k): next(cells) for k in range(n) for i in range(n) for j in range(n)}
+
+
+def bound_error(x):
+    """Scalar's message for a value outside the 64-bit bounds, else None."""
+    if not NUM_MIN <= x.numerator <= NUM_MAX:
+        return f"numerator {x.numerator} outside the signed 64-bit range"
+    if x.denominator > DEN_MAX:
+        return f"denominator {x.denominator} outside the unsigned 64-bit range"
+    return None
+
+
+def check(run, expected, changed):
+    """run() equals ``expected`` entrywise, or, exactly when an entry of
+    ``changed`` leaves the bounds, raises Scalar's message for the first."""
+    errors = [e for e in (bound_error(expected[at]) for at in changed) if e]
+    if errors:
+        with pytest.raises(ScalarOverflowError) as info:
+            run()
+        assert str(info.value) == errors[0]
+    else:
+        assert entries(run()) == expected
+
+
+def layer_cells(n, axis, index):
+    """A layer's cells in trace order: the free pair k outermost for a
+    fixed i or j, i outermost for a fixed k."""
+    x, r = index - 1, range(n)
+    if axis is Axis.HORIZONTAL_LAYER:
+        return [(x, j, k) for k in r for j in r]
+    if axis is Axis.VERTICAL_PAGE:
+        return [(i, x, k) for k in r for i in r]
+    return [(i, j, x) for i in r for j in r]
+
+
+@given(edge_cubics(), EDGE)
+def test_transforms_match_the_reference_up_to_the_bounds(subject, c):
+    n, a = subject
+    A = matrix(n, a)
+    for factor in (Fraction(0), Fraction(2), c):
+        check(lambda: A.scale(scalar(factor)), {at: factor * v for at, v in a.items()}, list(a))
+        for axis in Axis:
+            for index in range(1, n + 1):
+                layer = layer_cells(n, axis, index)
+                expected = {at: factor * v if at in layer else v for at, v in a.items()}
+                check(lambda: A.scale_layer(axis, index, scalar(factor)), expected, layer)
+    for axis in Axis:
+        for index in range(1, n + 1):
+            one, other = layer_cells(n, axis, 1), layer_cells(n, axis, index)
+            source = {**dict(zip(one, other)), **dict(zip(other, one))}
+            check(lambda: A.swap_layers(axis, 1, index), {at: a[source.get(at, at)] for at in a}, [])
+    for i, j, k in a:
+        check(lambda: A.delete_sub(Index3(i + 1, j + 1, k + 1)), reference_sub(a, n, i, j, k), [])
