@@ -30,6 +30,7 @@ exactly.  Every parse error names a 1-based location.
 from __future__ import annotations
 
 import json
+import math
 import re
 
 from .core3d import (
@@ -150,11 +151,14 @@ def parse_text(text: str) -> CubicMatrix:
 def serialize_text(A: CubicMatrix) -> str:
     """Canonical text form: single spaces, one blank line between
     blocks, reduced p/q literals, LF endings, one trailing newline."""
-    blocks = [
-        "\n".join(" ".join(str(v) for v in row) for row in block)
-        for block in A.layers()
-    ]
-    return f"{A.order}\n" + "\n\n".join(blocks) + "\n"
+    n, scale = A.order, A._scale
+    cells = []
+    for v in A._ints:
+        g = math.gcd(v, scale)
+        cells.append(str(v // g) if g == scale else f"{v // g}/{scale // g}")
+    rows = [" ".join(cells[f : f + n]) for f in range(0, n**3, n)]
+    blocks = ["\n".join(rows[r : r + n]) for r in range(0, n * n, n)]
+    return f"{n}\n" + "\n\n".join(blocks) + "\n"
 
 
 class _Float(str):

@@ -27,7 +27,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .core3d import _DELETE_TABLE, _DEN_MAX, _NUM_MAX, _NUM_MIN, Axis, CubicMatrix, Index3, Scalar, ShapeError
-from .core3d import _flat, _layer_positions
+from .core3d import _LAYER_FLAT, _flat, _layer_positions
 from .determinant import _FLAT, _table_sum, det_closed, sign_expansion, sign_paper_def
 
 __all__ = [
@@ -96,6 +96,11 @@ _LAYERS = {
 }
 
 
+# The 3n (axis, index) expansions of each order, in expand_all order
+# (Axis iterates h, p, l).
+_PATHS = {order: tuple((axis, index) for axis in Axis for index in range(1, order + 1)) for order in (1, 2, 3)}
+
+
 def _check_layer_index(A: CubicMatrix, axis: Axis, index: int) -> None:
     if not isinstance(index, int) or isinstance(index, bool):
         raise TypeError(f"layer index must be an int, got {index!r}")
@@ -139,22 +144,28 @@ def expand(A: CubicMatrix, axis: Axis, index: int) -> ExpansionTrace:
     return ExpansionTrace(axis, index, tuple(terms), Scalar(total, den))
 
 
-def _expansion_total(A: CubicMatrix, axis: Axis, index: int) -> Scalar:
-    """``expand(A, axis, index).total`` without building the trace.
+def _expansion_totals(A: CubicMatrix) -> list[Scalar]:
+    """``[t.total for t in expand_all(A)]`` without building the traces.
 
-    While every minor, contribution and denominator fits 64 bits, none
-    of the trace's Scalars can overflow, so the sum alone decides.  Past
-    that, expand itself runs, so this raises exactly when expand does.
+    An entry's term sign * entry * minor is the same in the three
+    expansions through it, so each term is computed once and every
+    expansion sums its layer's terms.  A layer whose minors,
+    contributions or denominator leave 64 bits is summed by expand
+    instead, so this raises exactly when expand_all does.
     """
-    den = A._scale**A.order
-    if den > _DEN_MAX:
-        return expand(A, axis, index).total
-    total = 0
-    for _, _, _, minor_value, contribution in _contributions(A, axis, index):
-        if not (_NUM_MIN <= minor_value <= _NUM_MAX and _NUM_MIN <= contribution <= _NUM_MAX):
-            return expand(A, axis, index).total
-        total += contribution
-    return Scalar(total, den)
+    n = A.order
+    den = A._scale**n
+    terms = [None] * n**3
+    if den <= _DEN_MAX:
+        for index in range(1, n + 1):  # the horizontal layers hold every entry once
+            for _, f, _, minor_value, contribution in _contributions(A, Axis.HORIZONTAL_LAYER, index):
+                if _NUM_MIN <= minor_value <= _NUM_MAX and _NUM_MIN <= contribution <= _NUM_MAX:
+                    terms[f] = contribution
+    totals = []
+    for axis, index in _PATHS[n]:
+        layer = [terms[f] for f in _LAYER_FLAT[(n, axis, index)]]
+        totals.append(expand(A, axis, index).total if None in layer else Scalar(sum(layer), den))
+    return totals
 
 
 def _laplace_table() -> dict:
@@ -194,8 +205,4 @@ def det_laplace(A: CubicMatrix, axis: Axis = Axis.HORIZONTAL_LAYER, index: int =
 
 def expand_all(A: CubicMatrix) -> list[ExpansionTrace]:
     """Every (axis, index) expansion: 3 * order traces, equal totals."""
-    return [
-        expand(A, axis, index)
-        for axis in (Axis.HORIZONTAL_LAYER, Axis.VERTICAL_PAGE, Axis.VERTICAL_LAYER)
-        for index in range(1, A.order + 1)
-    ]
+    return [expand(A, axis, index) for axis, index in _PATHS[A.order]]

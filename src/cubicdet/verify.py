@@ -6,13 +6,15 @@ cross-check evaluates every determinant path (closed form, permutation
 sum, each one-level layer expansion) plus nine derived algebraic laws,
 comparing everything exactly against the permutation oracle.
 
-Laplace path values are totals of one-level expansions: the same
-per-term contributions that ``expand`` traces, summed without building
-trace objects.  They come from one level rather than the recursive
-evaluator: a systematically wrong sign shows up exactly once per term,
-while in the recursive evaluator an error of even multiplicity can
-cancel itself.  The recursive evaluator is checked against the traces
-in the test suite instead.
+Laplace path values are the layer sums of one shared table: each
+entry's contribution (sign * entry * minor, as ``expand`` traces it) is
+computed once, and every path value sums the table over the path's
+layer, without building trace objects.  They come from one level rather
+than the recursive evaluator: a wrong sign on one entry shows up in
+exactly the three paths through that entry, while in the recursive
+evaluator an error of even multiplicity can cancel itself.  The
+recursive evaluator is checked against the traces in the test suite
+instead.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from itertools import repeat
 from .core3d import ZERO, Axis, CubicMatrix, Scalar, ScalarOverflowError, ShapeError
 from .determinant import det_closed, det_permutation
 from .io import serialize_text
-from .laplace import _expansion_total
+from .laplace import _PATHS, _expansion_totals
 
 __all__ = [
     "SplitMix64",
@@ -38,6 +40,11 @@ __all__ = [
 ]
 
 _AXES = (Axis.HORIZONTAL_LAYER, Axis.VERTICAL_PAGE, Axis.VERTICAL_LAYER)
+
+# Path names of the expansion totals, per order, in _expansion_totals order.
+_LAPLACE_NAMES = {
+    order: tuple(f"laplace:{axis.letter}:{index}" for axis, index in _PATHS[order]) for order in (2, 3)
+}
 
 # Layer transforms used by the derived-law checks: deterministic so the
 # whole report is a pure function of the subject matrix.
@@ -157,9 +164,7 @@ def cross_check(A: CubicMatrix) -> VerifyReport:
         "closed": det_closed(A),
         "permutation": det_value,
     }
-    for axis in _AXES:
-        for index in range(1, A.order + 1):
-            paths[f"laplace:{axis.letter}:{index}"] = _expansion_total(A, axis, index)
+    paths.update(zip(_LAPLACE_NAMES[A.order], _expansion_totals(A)))
     laws = []
     a, b = _LAW_SWAP
     for axis in _AXES:

@@ -170,6 +170,11 @@ class TestVerify:
         assert sum(1 for l in lines if l.startswith("law ") and l.endswith(" ok")) == 9
         assert lines[-1] == "PASS"
 
+    def test_matches_frozen_golden_file(self, capsys, data_dir, e2_path):
+        # Every line, the digest of the canonical text included.
+        frozen = (data_dir / "verify_example2.txt").read_text()
+        assert run_cli(capsys, ["verify", e2_path]) == (0, frozen, "")
+
     def test_file_failure_exit_code(self, capsys, e1_path, example1, monkeypatch):
         real = cross_check(example1)
         paths = dict(real.paths)

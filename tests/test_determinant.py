@@ -183,6 +183,13 @@ class TestOverflowAgreement:
     # Every monomial is 2**80, outside the 64-bit bounds, but they cancel
     # to 0.  A route raises only when a value it reports leaves the bounds.
     BIG = CubicMatrix(2, [[[2**40] * 2] * 2] * 2)
+    # Every entry 1/2**33: each trace contribution is +-1/2**66, past the
+    # denominator bound, although the determinant is 0.
+    WIDE_DEN = CubicMatrix(2, [[[Scalar(1, 2**33)] * 2] * 2] * 2)
+    # a_111 is 0 and its minor 2**64: the contribution fits, the minor not.
+    ZERO_TIMES_WIDE_MINOR = CubicMatrix(
+        3, [[[0, 0, 0]] * 3, [[0, 0, 0], [0, 2**32, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 2**32]]]
+    )
 
     def test_routes_agree_past_an_unrepresentable_intermediate(self):
         assert det_closed(self.BIG) == ZERO
@@ -192,11 +199,13 @@ class TestOverflowAgreement:
                 assert det_laplace(self.BIG, axis, index) == ZERO
 
     def test_unrepresentable_trace_values_raise(self):
-        # Each trace contribution is 2**80.
-        with pytest.raises(ScalarOverflowError):
-            expand(self.BIG, Axis.HORIZONTAL_LAYER, 1)
-        with pytest.raises(ScalarOverflowError):
-            cross_check(self.BIG)
+        # In BIG each trace contribution is 2**80.
+        for m in (self.BIG, self.WIDE_DEN, self.ZERO_TIMES_WIDE_MINOR):
+            assert det_permutation(m) == ZERO
+            with pytest.raises(ScalarOverflowError):
+                expand(m, Axis.HORIZONTAL_LAYER, 1)
+            with pytest.raises(ScalarOverflowError):
+                cross_check(m)
 
     # In order 2 each trace contribution is one signed monomial, so it is
     # the same in all six expansions.  AT_MIN has the monomials 2**63-1
@@ -224,3 +233,27 @@ class TestOverflowAgreement:
                     expand(self.PAST_MAX, axis, index)
         with pytest.raises(ScalarOverflowError):
             cross_check(self.PAST_MAX)
+
+    # Over the common denominator 2**10, a_111 is the int 2**71, so every
+    # expansion has a term past 64 bits and is summed by expand itself,
+    # whose reduced values all fit.  (With 2**62 the scale law overflows.)
+    WIDE_INTS = CubicMatrix(2, [[[2**61, 1], [1, 1]], [[1, 1], [1, Scalar(1, 2**10)]]])
+
+    def test_unreduced_ints_past_64_bits_with_a_reduced_trace(self, monkeypatch):
+        import cubicdet.laplace as laplace_mod
+
+        det = Scalar(2**51 - 1)
+        assert self.WIDE_INTS._ints[0] == 2**71
+        assert det_permutation(self.WIDE_INTS) == det
+        fallbacks = []
+        real = laplace_mod.expand
+
+        def spy(A, axis, index):
+            fallbacks.append((axis, index))
+            return real(A, axis, index)
+
+        monkeypatch.setattr(laplace_mod, "expand", spy)
+        report = cross_check(self.WIDE_INTS)
+        assert report.overall
+        assert set(report.paths.values()) == {det}
+        assert len(fallbacks) == 6

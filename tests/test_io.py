@@ -352,3 +352,25 @@ def cubics(draw):
 def test_round_trip_at_the_64_bit_edges(A):
     assert parse_text(serialize_text(A)) == A
     assert parse_json(serialize_json(A)) == A
+
+
+# Integer-only matrices, small p/q cells that reduce against a shared
+# denominator, and the 64-bit edges.
+FORMAT_ENTRIES = st.sampled_from(
+    (
+        st.integers(-(2**63), 2**63 - 1).map(Scalar),
+        st.builds(Scalar, st.integers(-30, 30), st.integers(1, 12)),
+        st.one_of(st.integers(-3, 3).map(Scalar), ENTRIES),
+        ENTRIES,
+    )
+)
+
+
+@given(st.integers(1, 3), st.data())
+def test_serialize_text_prints_each_reduced_entry(n, data):
+    entries = data.draw(FORMAT_ENTRIES)
+    cells = iter(data.draw(st.lists(entries, min_size=n**3, max_size=n**3)))
+    A = CubicMatrix(n, [[[next(cells) for _ in range(n)] for _ in range(n)] for _ in range(n)])
+    # The text as printed from A's Scalars, one str() per entry.
+    blocks = ["\n".join(" ".join(str(v) for v in row) for row in block) for block in A.layers()]
+    assert serialize_text(A) == f"{n}\n" + "\n\n".join(blocks) + "\n"

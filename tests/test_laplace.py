@@ -2,6 +2,8 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cubicdet import (
     ZERO,
@@ -10,6 +12,7 @@ from cubicdet import (
     GenSpec,
     Index3,
     Scalar,
+    ScalarOverflowError,
     ShapeError,
     SignConvention,
     cofactor,
@@ -21,7 +24,7 @@ from cubicdet import (
     random_cubic,
 )
 from cubicdet.determinant import _perm_flat
-from cubicdet.laplace import _LAPLACE_FLAT
+from cubicdet.laplace import _LAPLACE_FLAT, _expansion_totals
 
 
 class TestMinor:
@@ -200,3 +203,34 @@ class TestExpandAll:
     def test_all_totals_agree(self, example2):
         for trace in expand_all(example2):
             assert trace.total == Scalar(326)
+
+
+# Per matrix, numerators up to a bound (30, or one at which order-2
+# terms |a|**2 or order-3 terms 4 * |a|**3 cross 2**63), mixed with
+# small ones in varying shares, over denominators that are 1, small, or
+# up to the 64-bit bound.
+@st.composite
+def edge_cubics(draw):
+    n = draw(st.sampled_from((2, 3)))
+    bound = draw(st.sampled_from((30, 2**20, 2**21, 2**31, 2**32, 2**63 - 1)))
+    edge = st.one_of(st.sampled_from((-bound - 1, bound)), st.integers(-bound - 1, bound))
+    dens = draw(st.sampled_from((st.just(1), st.integers(1, 12), st.integers(1, 2**64 - 1))))
+    small = st.integers(-3, 3)
+    nums = draw(st.sampled_from((edge, st.one_of(small, edge), st.one_of(small, small, small, edge))))
+    entry = st.builds(Scalar, nums, dens)
+    cells = iter(draw(st.lists(entry, min_size=n**3, max_size=n**3)))
+    return CubicMatrix(n, [[[next(cells) for _ in range(n)] for _ in range(n)] for _ in range(n)])
+
+
+@given(edge_cubics())
+def test_expansion_totals_are_the_traced_totals(A):
+    # The shared-term sums agree with expand_all, overflow included: the
+    # first trace that raises decides the message.
+    try:
+        want = [trace.total for trace in expand_all(A)]
+    except ScalarOverflowError as err:
+        with pytest.raises(ScalarOverflowError) as info:
+            _expansion_totals(A)
+        assert str(info.value) == str(err)
+    else:
+        assert _expansion_totals(A) == want

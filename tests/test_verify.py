@@ -3,6 +3,7 @@ import re
 import pytest
 
 from cubicdet import (
+    Axis,
     CubicMatrix,
     GenSpec,
     Scalar,
@@ -11,6 +12,7 @@ from cubicdet import (
     batch_verify,
     build_report,
     cross_check,
+    expand,
     matrix_digest,
     random_cubic,
     serialize_text,
@@ -90,6 +92,18 @@ class TestMatrixDigest:
         assert matrix_digest(example2).startswith("order3:")
         assert d1 != matrix_digest(example2)
 
+    def test_pinned_rational_digest(self):
+        # The hash of "2\n1/2 -2/3\n5 0\n\n7/11 -1\n9/4 1/6\n": cells reduced
+        # over their own denominators, not over the common one (132).
+        m = CubicMatrix(
+            2,
+            [
+                [[Scalar(1, 2), Scalar(-2, 3)], [5, 0]],
+                [[Scalar(7, 11), -1], [Scalar(9, 4), Scalar(1, 6)]],
+            ],
+        )
+        assert matrix_digest(m) == "order2:8acd18a58f311f58"
+
 
 class TestCrossCheck:
     def test_order2_report(self, example1):
@@ -167,6 +181,27 @@ class TestCrossCheck:
             for name, ok in report.agreements.items():
                 assert ok is (not name.startswith("laplace:"))
             assert all(ok for _, ok in report.derived_laws)
+
+    def test_one_entry_sign_fault_is_localized(self, example1, example2, monkeypatch):
+        # A wrong sign on one entry with a nonzero term must fail exactly
+        # the three expansions whose layers hold that entry.
+        import cubicdet.laplace as laplace_mod
+
+        real = laplace_mod.sign_expansion
+        for m in (example1, example2):
+            bad_entries = [
+                t.at
+                for index in range(1, m.order + 1)
+                for t in expand(m, Axis.HORIZONTAL_LAYER, index).terms
+                if t.contribution
+            ]
+            assert len(bad_entries) > m.order
+            for bad in bad_entries:
+                monkeypatch.setattr(laplace_mod, "sign_expansion", lambda at: -real(at) if at == bad else real(at))
+                report = cross_check(m)
+                failed = {name for name, ok in report.agreements.items() if not ok}
+                assert failed == {f"laplace:h:{bad.i}", f"laplace:p:{bad.j}", f"laplace:l:{bad.k}"}
+                assert all(ok for _, ok in report.derived_laws)
 
 
 class TestBatchVerify:
