@@ -135,15 +135,22 @@ def _cmd_expand(args, parser) -> int:
 
 def _cmd_verify(args, parser) -> int:
     if args.random:
+        if args.file is not None:
+            parser.error("--random takes no matrix file")
+        # The batch options default to None so that a file check can reject them.
+        orders_text = "2,3" if args.orders is None else args.orders
+        trials = 100 if args.trials is None else args.trials
+        seed = 0 if args.seed is None else args.seed
+        range_ = 9 if args.range is None else args.range
         try:
-            orders = tuple(_integer(tok) for tok in args.orders.split(","))
+            orders = tuple(_integer(tok) for tok in orders_text.split(","))
         except ValueError:
-            parser.error(f"--orders must be comma-separated integers, got {args.orders!r}")
+            parser.error(f"--orders must be comma-separated integers, got {orders_text!r}")
         try:
-            summary = batch_verify(orders, args.trials, args.seed, args.range)
+            summary = batch_verify(orders, trials, seed, range_)
         except ValueError as err:
             parser.error(str(err))
-        print(f"orders={args.orders} trials={args.trials} seed={args.seed} range={args.range}")
+        print(f"orders={orders_text} trials={trials} seed={seed} range={range_}")
         print(f"trials run: {summary.trials}")
         print(f"failures: {summary.failures}")
         if summary.failures:
@@ -153,6 +160,8 @@ def _cmd_verify(args, parser) -> int:
             return 1
         print("PASS")
         return 0
+    if (args.orders, args.trials, args.seed, args.range) != (None,) * 4:
+        parser.error("--orders, --trials, --seed and --range require --random")
     if args.file is None:
         parser.error("verify needs a matrix file or --random")
     report = cross_check(_load_matrix(args.file))
@@ -221,15 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(func=_cmd_expand, parser=p_exp)
 
     p_ver = sub.add_parser("verify", help="cross-check all determinant paths and laws")
-    p_ver.add_argument("file", nargs="?", default=None,
-                       help="matrix file to cross-check (omit with --random)")
+    p_ver.add_argument("file", nargs="?", help="matrix file to cross-check (omit with --random)")
     p_ver.add_argument("--random", action="store_true",
                        help="batch-verify seeded random matrices instead of a file")
-    p_ver.add_argument("--orders", default="2,3", help="comma-separated orders (default 2,3)")
-    p_ver.add_argument("--trials", type=_integer, default=100, help="trials per order (default 100)")
-    p_ver.add_argument("--seed", type=_integer, default=0, help="master seed (default 0)")
-    p_ver.add_argument("--range", type=_integer, default=9,
-                       help="entries drawn from [-range, range] (default 9)")
+    p_ver.add_argument("--orders", help="comma-separated orders (default 2,3)")
+    p_ver.add_argument("--trials", type=_integer, help="trials per order (default 100)")
+    p_ver.add_argument("--seed", type=_integer, help="master seed (default 0)")
+    p_ver.add_argument("--range", type=_integer, help="entries drawn from [-range, range] (default 9)")
     p_ver.set_defaults(func=_cmd_verify, parser=p_ver)
 
     p_gen = sub.add_parser("gen", help="emit a seeded random matrix in canonical text form")

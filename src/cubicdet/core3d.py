@@ -11,6 +11,11 @@ Internally the entries live in one flat tuple in k-major order (k, then
 i, then j).  That layout is also the canonical serialization order used
 by the io module and the consumption order of the random generator.
 
+The layer geometry is derived here alone, for laplace and verify too:
+``_LAYER_TERMS`` lists each layer's cells in trace order, each with the
+kept cells of its minor (``_LAYER_FLAT`` and ``_DELETE_TABLE`` project
+it), and ``_PATHS`` is the h, p, l order of the 3n expansions.
+
 Everything here is immutable after construction and every operation is
 pure: methods return new objects and never touch their inputs, so values
 can be shared freely between threads or tasks.
@@ -198,32 +203,6 @@ def _flat(order: int, i: int, j: int, k: int) -> int:
     return (k - 1) * order * order + (i - 1) * order + (j - 1)
 
 
-def _build_delete_table() -> dict[tuple[int, int, int, int], tuple[int, ...]]:
-    # For every (order, i, j, k), the flat source indices of the entries
-    # that survive deleting layer i, page j, and depth slice k, listed in
-    # the k-major order of the resulting (order-1)-matrix.
-    table = {}
-    for order in (2, 3):
-        rng = range(1, order + 1)
-        for i in rng:
-            for j in rng:
-                for k in rng:
-                    kept = tuple(
-                        _flat(order, si, sj, sk)
-                        for sk in rng
-                        if sk != k
-                        for si in rng
-                        if si != i
-                        for sj in rng
-                        if sj != j
-                    )
-                    table[(order, i, j, k)] = kept
-    return table
-
-
-_DELETE_TABLE = _build_delete_table()
-
-
 def _layer_positions(order: int, axis: Axis, index: int) -> list[tuple[int, int, int]]:
     """(i, j, k) triples of the fixed layer, in trace order."""
     rng = range(1, order + 1)
@@ -234,15 +213,38 @@ def _layer_positions(order: int, axis: Axis, index: int) -> list[tuple[int, int,
     return [(i, j, index) for i in rng for j in rng]
 
 
+def _kept_cells(order: int, i: int, j: int, k: int) -> tuple[int, ...]:
+    """Flat indices of the entries left by deleting layer i, page j and
+    depth slice k, in the k-major order of the matrix they form."""
+    rest_i, rest_j, rest_k = ([x for x in range(1, order + 1) if x != fixed] for fixed in (i, j, k))
+    return tuple(_flat(order, si, sj, sk) for sk in rest_k for si in rest_i for sj in rest_j)
+
+
+# Axis iterates h, p, l; hot loops iterate this tuple, not the slower Enum.
+_AXES = tuple(Axis)
+
+# Per (order, axis, index), orders ascending: the layer's terms in trace order,
+# each (address, flat index, flat indices its minor keeps); signs are the caller's.
+_LAYER_TERMS = {
+    (order, axis, index): tuple(
+        (Index3(*at), _flat(order, *at), _kept_cells(order, *at))
+        for at in _layer_positions(order, axis, index)
+    )
+    for order in (1, 2, 3)
+    for axis in _AXES
+    for index in range(1, order + 1)
+}
+
 # A layer's flat indices in trace order.  Layers a and b of one axis
 # list their cells in the same order of the two free coordinates, so
 # zipping them pairs each cell with its image under the swap.
-_LAYER_FLAT = {
-    (order, axis, index): tuple(_flat(order, *at) for at in _layer_positions(order, axis, index))
-    for order in (1, 2, 3)
-    for axis in Axis
-    for index in range(1, order + 1)
-}
+_LAYER_FLAT = {key: tuple(f for _, f, _ in terms) for key, terms in _LAYER_TERMS.items()}
+
+# Per (order, i, j, k), the cells delete_sub keeps.
+_DELETE_TABLE = {(order, *at): kept for (order, _, _), terms in _LAYER_TERMS.items() for at, _, kept in terms}
+
+# The 3n (axis, index) layer expansions of each order, in expand_all order.
+_PATHS = {order: tuple((axis, index) for axis in _AXES for index in range(1, order + 1)) for order in (1, 2, 3)}
 
 
 class CubicMatrix:

@@ -38,7 +38,7 @@ import itertools
 from collections import namedtuple
 from functools import lru_cache
 
-from .core3d import CubicMatrix, Index3, Scalar
+from .core3d import CubicMatrix, Index3, Scalar, _flat
 
 __all__ = [
     "SignedTerm",
@@ -105,11 +105,7 @@ _TERMS = {1: _TERMS_1, 2: _TERMS_2, 3: _TERMS_3}
 
 
 def _flatten(order: int, terms) -> tuple:
-    nn = order * order
-    return tuple(
-        (sign,) + tuple((k - 1) * nn + (i - 1) * order + (j - 1) for i, j, k in positions)
-        for sign, positions in terms
-    )
+    return tuple((sign, *[_flat(order, *at) for at in positions]) for sign, positions in terms)
 
 
 _FLAT = {order: _flatten(order, terms) for order, terms in _TERMS.items()}

@@ -148,14 +148,19 @@ def parse_text(text: str) -> CubicMatrix:
     return CubicMatrix(order, layers)
 
 
+def _reduced_cells(A: CubicMatrix):
+    """Each entry of A as its reduced (num, den), in flat (k-major) order."""
+    scale = A._scale
+    if scale == 1:  # an integer matrix, as every random_cubic is: nothing to reduce
+        return zip(A._ints, [1] * len(A._ints))
+    return ((v // (g := math.gcd(v, scale)), scale // g) for v in A._ints)
+
+
 def serialize_text(A: CubicMatrix) -> str:
     """Canonical text form: single spaces, one blank line between
     blocks, reduced p/q literals, LF endings, one trailing newline."""
-    n, scale = A.order, A._scale
-    cells = []
-    for v in A._ints:
-        g = math.gcd(v, scale)
-        cells.append(str(v // g) if g == scale else f"{v // g}/{scale // g}")
+    n = A.order
+    cells = [str(num) if den == 1 else f"{num}/{den}" for num, den in _reduced_cells(A)]
     rows = [" ".join(cells[f : f + n]) for f in range(0, n**3, n)]
     blocks = ["\n".join(rows[r : r + n]) for r in range(0, n * n, n)]
     return f"{n}\n" + "\n\n".join(blocks) + "\n"
@@ -237,5 +242,8 @@ def _json_scalar(value: Scalar):
 def serialize_json(A: CubicMatrix) -> str:
     """Canonical JSON form: {"order": n, "layers": [...]} on one line,
     integer entries as JSON integers, others as "p/q" strings."""
-    layers = [[[_json_scalar(v) for v in row] for row in block] for block in A.layers()]
-    return json.dumps({"order": A.order, "layers": layers})
+    n = A.order
+    cells = [num if den == 1 else f"{num}/{den}" for num, den in _reduced_cells(A)]
+    rows = [cells[f : f + n] for f in range(0, n**3, n)]
+    layers = [rows[r : r + n] for r in range(0, n * n, n)]
+    return json.dumps({"order": n, "layers": layers})

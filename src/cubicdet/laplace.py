@@ -18,7 +18,8 @@ Cofactors come in two conventions, selected by :class:`SignConvention`:
 Term order inside a trace follows the reading order of a fixed layer
 when the vertical layers are displayed side by side: fixed i or fixed j
 enumerates the free pair with k outermost; fixed k enumerates row-major
-(i outermost, j innermost).
+(i outermost, j innermost).  ``core3d._layer_positions`` defines it, and
+every layer table here is read from core3d.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 
-from .core3d import _DELETE_TABLE, _DEN_MAX, _NUM_MAX, _NUM_MIN, Axis, CubicMatrix, Index3, Scalar, ShapeError
-from .core3d import _LAYER_FLAT, _flat, _layer_positions
+from .core3d import _DEN_MAX, _LAYER_FLAT, _LAYER_TERMS, _NUM_MAX, _NUM_MIN, _PATHS
+from .core3d import Axis, CubicMatrix, Index3, Scalar, ShapeError
 from .determinant import _FLAT, _table_sum, det_closed, sign_expansion, sign_paper_def
 
 __all__ = [
@@ -82,25 +83,6 @@ def cofactor(A: CubicMatrix, at: Index3, convention: SignConvention = SignConven
     return value if sign > 0 else -value
 
 
-# Per term of each layer expansion, in trace order: the entry's address,
-# its flat index, and the flat indices its minor keeps.  Signs are left
-# to sign_expansion, called once per term.
-_LAYERS = {
-    (order, axis, index): tuple(
-        (Index3(i, j, k), _flat(order, i, j, k), _DELETE_TABLE[(order, i, j, k)])
-        for i, j, k in _layer_positions(order, axis, index)
-    )
-    for order in (2, 3)
-    for axis in Axis
-    for index in range(1, order + 1)
-}
-
-
-# The 3n (axis, index) expansions of each order, in expand_all order
-# (Axis iterates h, p, l).
-_PATHS = {order: tuple((axis, index) for axis in Axis for index in range(1, order + 1)) for order in (1, 2, 3)}
-
-
 def _check_layer_index(A: CubicMatrix, axis: Axis, index: int) -> None:
     if not isinstance(index, int) or isinstance(index, bool):
         raise TypeError(f"layer index must be an int, got {index!r}")
@@ -117,7 +99,7 @@ def _contributions(A: CubicMatrix, axis: Axis, index: int):
     n = A.order
     ints = A._ints
     minor_table = _FLAT[n - 1]
-    for at, f, kept in _LAYERS[(n, axis, index)]:
+    for at, f, kept in _LAYER_TERMS[(n, axis, index)]:
         sign = sign_expansion(at)
         minor_value = _table_sum(n - 1, minor_table, [ints[g] for g in kept])
         yield at, f, sign, minor_value, sign * ints[f] * minor_value
@@ -172,13 +154,13 @@ def _laplace_table() -> dict:
     """det_laplace's recursion, unrolled over flat indices into the
     (order!)**2 rows (sign, f1, ..., fn) it sums per (order, axis, index).
 
-    Built from _LAYERS and sign_expansion alone, never from _FLAT or
-    perm_terms, so the routes stay independent; built at import, so no
+    Built from _LAYER_TERMS and sign_expansion alone, never from _FLAT
+    or perm_terms, so the routes stay independent; built at import, so no
     later patch of sign_expansion is captured.
     """
-    table = {(1, axis, 1): ((1, 0),) for axis in Axis}
-    for (order, axis, index), layer in _LAYERS.items():  # order 2 before order 3
-        minor_rows = table[(order - 1, axis, 1)]
+    table = {}
+    for (order, axis, index), layer in _LAYER_TERMS.items():  # orders ascending
+        minor_rows = table.get((order - 1, axis, 1), ((1,),))  # an order-0 minor is 1: sign 1, no cells
         rows = []
         for at, f, kept in layer:
             s = sign_expansion(at)

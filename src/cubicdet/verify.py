@@ -22,10 +22,10 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import repeat
 
-from .core3d import ZERO, Axis, CubicMatrix, Scalar, ScalarOverflowError, ShapeError
+from .core3d import _AXES, _PATHS, ZERO, Axis, CubicMatrix, Scalar, ScalarOverflowError, ShapeError
 from .determinant import det_closed, det_permutation
 from .io import serialize_text
-from .laplace import _PATHS, _expansion_totals
+from .laplace import _expansion_totals
 
 __all__ = [
     "SplitMix64",
@@ -38,8 +38,6 @@ __all__ = [
     "cross_check",
     "batch_verify",
 ]
-
-_AXES = (Axis.HORIZONTAL_LAYER, Axis.VERTICAL_PAGE, Axis.VERTICAL_LAYER)
 
 # Path names of the expansion totals, per order, in _expansion_totals order.
 _LAPLACE_NAMES = {

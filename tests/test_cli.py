@@ -242,6 +242,20 @@ class TestVerify:
         assert code == 2
         assert "matrix file or --random" in err
 
+    def test_options_of_the_other_mode_are_rejected(self, capsys, e1_path):
+        # Each would otherwise be ignored, and the run exit 0.
+        for argv, message in (
+            (["verify", "--random", e1_path, "--trials", "2"], "--random takes no matrix file"),
+            (["verify", e1_path, "--trials", "5", "--seed", "3"],
+             "--orders, --trials, --seed and --range require --random"),
+            (["verify", e1_path, "--orders", "2,3"], "--orders, --trials, --seed and --range require --random"),
+            (["verify", e1_path, "--range", "9"], "--orders, --trials, --seed and --range require --random"),
+        ):
+            code, out, err = run_cli(capsys, argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("usage: cubicdet verify [-h]")
+            assert err.endswith(f"\ncubicdet verify: error: {message}\n")
+
     def test_bad_orders_flag(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "--random", "--orders", "2;3"])
         assert code == 2

@@ -15,6 +15,7 @@ from cubicdet import (
     serialize_json,
     serialize_text,
 )
+from cubicdet.io import _json_scalar
 
 EXAMPLE1_TEXT = "2\n4 -3\n-1 5\n\n-2 4\n-7 3\n"
 EXAMPLE1_JSON = '{"order": 2, "layers": [[[4, -3], [-1, 5]], [[-2, 4], [-7, 3]]]}'
@@ -374,3 +375,6 @@ def test_serialize_text_prints_each_reduced_entry(n, data):
     # The text as printed from A's Scalars, one str() per entry.
     blocks = ["\n".join(" ".join(str(v) for v in row) for row in block) for block in A.layers()]
     assert serialize_text(A) == f"{n}\n" + "\n\n".join(blocks) + "\n"
+    # And the JSON as built from the same Scalars, one _json_scalar() per entry.
+    layers = [[[_json_scalar(v) for v in row] for row in block] for block in A.layers()]
+    assert serialize_json(A) == json.dumps({"order": n, "layers": layers})
