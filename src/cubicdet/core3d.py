@@ -11,10 +11,10 @@ Internally the entries live in one flat tuple in k-major order (k, then
 i, then j).  That layout is also the canonical serialization order used
 by the io module and the consumption order of the random generator.
 
-The layer geometry is derived here alone, for laplace and verify too:
-``_LAYER_TERMS`` lists each layer's cells in trace order, each with the
-kept cells of its minor (``_LAYER_FLAT`` and ``_DELETE_TABLE`` project
-it), and ``_PATHS`` is the h, p, l order of the 3n expansions.
+The layer geometry is derived here alone, in three tables: ``_CELLS``
+(each cell's address and the cells its minor keeps), ``_LAYER_FLAT``
+(each layer's cells in trace order) and ``_PATHS`` (the h, p, l order of
+the 3n expansions).  ``CubicMatrix._layer_cells`` checks every layer.
 
 Everything here is immutable after construction and every operation is
 pure: methods return new objects and never touch their inputs, so values
@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from enum import Enum
+from itertools import product
 
 __all__ = [
     "NOT_CUBIC_MESSAGE",
@@ -163,6 +164,8 @@ class Index3(namedtuple("Index3", "i j k")):
     k: int
 
     def __new__(cls, i: int, j: int, k: int):
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in (i, j, k)):
+            raise TypeError(f"entry index components must be ints, got ({i!r},{j!r},{k!r})")
         if i < 1 or j < 1 or k < 1:
             raise IndexError(f"entry index ({i},{j},{k}) must be 1-based (components >= 1)")
         return tuple.__new__(cls, (i, j, k))
@@ -223,28 +226,25 @@ def _kept_cells(order: int, i: int, j: int, k: int) -> tuple[int, ...]:
 # Axis iterates h, p, l; hot loops iterate this tuple, not the slower Enum.
 _AXES = tuple(Axis)
 
-# Per (order, axis, index), orders ascending: the layer's terms in trace order,
-# each (address, flat index, flat indices its minor keeps); signs are the caller's.
-_LAYER_TERMS = {
-    (order, axis, index): tuple(
-        (Index3(*at), _flat(order, *at), _kept_cells(order, *at))
-        for at in _layer_positions(order, axis, index)
-    )
-    for order in (1, 2, 3)
-    for axis in _AXES
-    for index in range(1, order + 1)
+# Per order, indexed by flat index (k, i, j ascending): the cell's
+# address and the flat indices its minor keeps.  Signs are the caller's.
+_CELLS = {
+    n: tuple((Index3(i, j, k), _kept_cells(n, i, j, k)) for k, i, j in product(range(1, n + 1), repeat=3))
+    for n in (1, 2, 3)
 }
-
-# A layer's flat indices in trace order.  Layers a and b of one axis
-# list their cells in the same order of the two free coordinates, so
-# zipping them pairs each cell with its image under the swap.
-_LAYER_FLAT = {key: tuple(f for _, f, _ in terms) for key, terms in _LAYER_TERMS.items()}
-
-# Per (order, i, j, k), the cells delete_sub keeps.
-_DELETE_TABLE = {(order, *at): kept for (order, _, _), terms in _LAYER_TERMS.items() for at, _, kept in terms}
 
 # The 3n (axis, index) layer expansions of each order, in expand_all order.
 _PATHS = {order: tuple((axis, index) for axis in _AXES for index in range(1, order + 1)) for order in (1, 2, 3)}
+
+# Per (order, axis, index), orders ascending: a layer's flat indices in
+# trace order.  Layers a and b of one axis list their cells in the same
+# order of the two free coordinates, so zipping them pairs each cell
+# with its image under the swap.
+_LAYER_FLAT = {
+    (n, axis, index): tuple(_flat(n, *at) for at in _layer_positions(n, axis, index))
+    for n, paths in _PATHS.items()
+    for axis, index in paths
+}
 
 
 class CubicMatrix:
@@ -360,6 +360,17 @@ class CubicMatrix:
         ints = [c.num * v for v in self._ints]
         return CubicMatrix._reduced(self.order, c.den * self._scale, ints, range(len(ints)))
 
+    def _layer_cells(self, axis: Axis, index: int) -> tuple[int, ...]:
+        """The flat indices of layer ``index`` along ``axis``, in trace order."""
+        if type(index) is not int and (isinstance(index, bool) or not isinstance(index, int)):
+            raise TypeError(f"layer index must be an int, got {index!r}")
+        cells = _LAYER_FLAT.get((self.order, axis, index))
+        if cells is None:
+            if not isinstance(axis, Axis):
+                raise TypeError(f"axis must be an Axis, got {axis!r}")
+            raise IndexError(f"{axis.letter}-layer index {index} out of range for an order-{self.order} matrix")
+        return cells
+
     def delete_sub(self, at: Index3) -> "CubicMatrix":
         """The order-(n-1) matrix left after removing horizontal layer
         at.i, vertical page at.j, and vertical layer at.k.  Residual
@@ -368,35 +379,29 @@ class CubicMatrix:
             raise ShapeError("an order-1 matrix has no sub-matrices to delete down to")
         self._check_range(at)
         ints = self._ints
-        kept = _DELETE_TABLE[(self.order, at.i, at.j, at.k)]
+        _, kept = _CELLS[self.order][_flat(self.order, at.i, at.j, at.k)]
         return CubicMatrix._reduced(self.order - 1, self._scale, [ints[f] for f in kept])
 
     def scale_layer(self, axis: Axis, index: int, c) -> "CubicMatrix":
         """Multiply every entry whose axis-coordinate equals index by c."""
-        n = self.order
-        if not 1 <= index <= n:
-            raise IndexError(f"{axis.letter}-layer index {index} out of range for an order-{n} matrix")
+        layer = self._layer_cells(axis, index)
         c = _to_scalar(c)
-        layer = _LAYER_FLAT[(n, axis, index)]
         # Over the common denominator scale * c.den, the layer's entries
         # gain the factor c.num and the others c.den.
         ints = [c.den * v for v in self._ints]
         for f in layer:
             ints[f] = c.num * self._ints[f]
-        return CubicMatrix._reduced(n, c.den * self._scale, ints, layer)
+        return CubicMatrix._reduced(self.order, c.den * self._scale, ints, layer)
 
     def swap_layers(self, axis: Axis, a: int, b: int) -> "CubicMatrix":
         """Exchange layers a and b along the given axis."""
-        n = self.order
-        for index in (a, b):
-            if not 1 <= index <= n:
-                raise IndexError(f"{axis.letter}-layer index {index} out of range for an order-{n} matrix")
+        pairs = zip(self._layer_cells(axis, a), self._layer_cells(axis, b))
         if a == b:
             return self
         ints = list(self._ints)
-        for fa, fb in zip(_LAYER_FLAT[(n, axis, a)], _LAYER_FLAT[(n, axis, b)]):
+        for fa, fb in pairs:
             ints[fa], ints[fb] = ints[fb], ints[fa]
-        return CubicMatrix._reduced(n, self._scale, ints)
+        return CubicMatrix._reduced(self.order, self._scale, ints)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CubicMatrix):

@@ -18,8 +18,9 @@ Cofactors come in two conventions, selected by :class:`SignConvention`:
 Term order inside a trace follows the reading order of a fixed layer
 when the vertical layers are displayed side by side: fixed i or fixed j
 enumerates the free pair with k outermost; fixed k enumerates row-major
-(i outermost, j innermost).  ``core3d._layer_positions`` defines it, and
-every layer table here is read from core3d.
+(i outermost, j innermost).  core3d answers every address question
+(which cells a layer holds and a minor keeps, whether a layer is valid);
+this module only signs and sums.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 
-from .core3d import _DEN_MAX, _LAYER_FLAT, _LAYER_TERMS, _NUM_MAX, _NUM_MIN, _PATHS
+from .core3d import _CELLS, _DEN_MAX, _LAYER_FLAT, _NUM_MAX, _NUM_MIN, _PATHS
 from .core3d import Axis, CubicMatrix, Index3, Scalar, ShapeError
 from .determinant import _FLAT, _table_sum, det_closed, sign_expansion, sign_paper_def
 
@@ -83,23 +84,15 @@ def cofactor(A: CubicMatrix, at: Index3, convention: SignConvention = SignConven
     return value if sign > 0 else -value
 
 
-def _check_layer_index(A: CubicMatrix, axis: Axis, index: int) -> None:
-    if not isinstance(index, int) or isinstance(index, bool):
-        raise TypeError(f"layer index must be an int, got {index!r}")
-    if not 1 <= index <= A.order:
-        raise IndexError(
-            f"{axis.letter}-layer index {index} out of range for an order-{A.order} matrix"
-        )
-
-
-def _contributions(A: CubicMatrix, axis: Axis, index: int):
-    """Yield (at, flat index, sign, minor, contribution) per term, as ints
-    over A._ints: the minor is scaled by _scale**(n-1), the contribution
-    by _scale**n."""
+def _contributions(A: CubicMatrix, cells):
+    """Yield (at, f, sign, minor, contribution) per flat index f of cells,
+    in their order, as ints over A._ints: the minor is scaled by
+    _scale**(n-1), the contribution by _scale**n."""
     n = A.order
     ints = A._ints
     minor_table = _FLAT[n - 1]
-    for at, f, kept in _LAYER_TERMS[(n, axis, index)]:
+    for f in cells:
+        at, kept = _CELLS[n][f]
         sign = sign_expansion(at)
         minor_value = _table_sum(n - 1, minor_table, [ints[g] for g in kept])
         yield at, f, sign, minor_value, sign * ints[f] * minor_value
@@ -114,12 +107,12 @@ def expand(A: CubicMatrix, axis: Axis, index: int) -> ExpansionTrace:
     """
     if A.order == 1:
         raise ShapeError("an order-1 matrix has no layers to expand along")
-    _check_layer_index(A, axis, index)
+    cells = A._layer_cells(axis, index)
     minor_den = A._scale ** (A.order - 1)
     den = minor_den * A._scale
     terms = []
     total = 0
-    for at, f, sign, minor_value, contribution in _contributions(A, axis, index):
+    for at, f, sign, minor_value, contribution in _contributions(A, cells):
         total += contribution
         entry = Scalar(A._ints[f], A._scale)
         terms.append(TraceTerm(at, entry, sign, Scalar(minor_value, minor_den), Scalar(contribution, den)))
@@ -130,39 +123,40 @@ def _expansion_totals(A: CubicMatrix) -> list[Scalar]:
     """``[t.total for t in expand_all(A)]`` without building the traces.
 
     An entry's term sign * entry * minor is the same in the three
-    expansions through it, so each term is computed once and every
-    expansion sums its layer's terms.  A layer whose minors,
-    contributions or denominator leave 64 bits is summed by expand
-    instead, so this raises exactly when expand_all does.
+    expansions through it, so each of the n**3 terms is computed once,
+    over _CELLS, and every expansion sums its _LAYER_FLAT cells.  The one
+    fallback: if _scale**n or any minor or contribution leaves 64 bits,
+    return expand_all's totals.  Otherwise only a total can overflow, as
+    the same Scalar expand builds, so this raises exactly as expand_all.
     """
     n = A.order
     den = A._scale**n
-    terms = [None] * n**3
     if den <= _DEN_MAX:
-        for index in range(1, n + 1):  # the horizontal layers hold every entry once
-            for _, f, _, minor_value, contribution in _contributions(A, Axis.HORIZONTAL_LAYER, index):
-                if _NUM_MIN <= minor_value <= _NUM_MAX and _NUM_MIN <= contribution <= _NUM_MAX:
-                    terms[f] = contribution
-    totals = []
-    for axis, index in _PATHS[n]:
-        layer = [terms[f] for f in _LAYER_FLAT[(n, axis, index)]]
-        totals.append(expand(A, axis, index).total if None in layer else Scalar(sum(layer), den))
-    return totals
+        terms = []
+        for _, _, _, minor_value, contribution in _contributions(A, range(n**3)):
+            if not (_NUM_MIN <= minor_value <= _NUM_MAX and _NUM_MIN <= contribution <= _NUM_MAX):
+                break
+            terms.append(contribution)
+        else:
+            layers = [_LAYER_FLAT[(n, axis, index)] for axis, index in _PATHS[n]]
+            return [Scalar(sum([terms[f] for f in layer]), den) for layer in layers]
+    return [trace.total for trace in expand_all(A)]
 
 
 def _laplace_table() -> dict:
     """det_laplace's recursion, unrolled over flat indices into the
     (order!)**2 rows (sign, f1, ..., fn) it sums per (order, axis, index).
 
-    Built from _LAYER_TERMS and sign_expansion alone, never from _FLAT
-    or perm_terms, so the routes stay independent; built at import, so no
-    later patch of sign_expansion is captured.
+    Built from _LAYER_FLAT, _CELLS and sign_expansion alone, never from
+    _FLAT or perm_terms, so the routes stay independent; built at import,
+    so no later patch of sign_expansion is captured.
     """
     table = {}
-    for (order, axis, index), layer in _LAYER_TERMS.items():  # orders ascending
+    for (order, axis, index), layer in _LAYER_FLAT.items():  # orders ascending
         minor_rows = table.get((order - 1, axis, 1), ((1,),))  # an order-0 minor is 1: sign 1, no cells
         rows = []
-        for at, f, kept in layer:
+        for f in layer:
+            at, kept = _CELLS[order][f]
             s = sign_expansion(at)
             rows += [(s * sign, f, *[kept[g] for g in cells]) for sign, *cells in minor_rows]
         table[(order, axis, index)] = tuple(rows)
@@ -181,7 +175,7 @@ def det_laplace(A: CubicMatrix, axis: Axis = Axis.HORIZONTAL_LAYER, index: int =
     fixed choice is valid since the expansions agree).  The recursion
     runs once, at import: this sums the signed monomials it reaches.
     """
-    _check_layer_index(A, axis, index)
+    A._layer_cells(axis, index)  # validates the layer
     return Scalar(_table_sum(A.order, _LAPLACE_FLAT[(A.order, axis, index)], A._ints), A._scale**A.order)
 
 

@@ -118,6 +118,17 @@ class TestIndex3:
             Index3._make((0, 1, 1))
         with pytest.raises(IndexError, match=r"^entry index \(1,2,0\) must be 1-based"):
             at._replace(k=0)
+        # Components are ints: bool, float and str are rejected, not looked up.
+        with pytest.raises(TypeError, match=r"^entry index components must be ints, got \(True,1,1\)$"):
+            Index3(True, 1, 1)
+        with pytest.raises(TypeError, match=r"^entry index components must be ints, got \(2,2\.5,1\)$"):
+            Index3(2, 2.5, 1)
+        with pytest.raises(TypeError, match=r"^entry index components must be ints, got \(1,1,'3'\)$"):
+            Index3(1, 1, "3")
+        with pytest.raises(TypeError, match=r"^entry index components must be ints, got \(1,2,3\.0\)$"):
+            at._replace(k=3.0)
+        with pytest.raises(TypeError, match=r"^entry index components must be ints, got \(1\.5,2,3\)$"):
+            Index3._make((1.5, 2, 3))
 
     def test_records_annotate_their_fields(self):
         # Each record names its fields twice: to namedtuple and as annotations.

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -79,6 +80,15 @@ class TestExpand:
         with pytest.raises(AttributeError):
             trace.terms[0].sign = -1
 
+    def test_trace_order_per_axis(self, example1):
+        # Fixed i or j: k outermost; fixed k: row-major, i outermost.
+        def ats(axis):
+            return [tuple(t.at) for t in expand(example1, axis, 2).terms]
+
+        assert ats(Axis.HORIZONTAL_LAYER) == [(2, 1, 1), (2, 2, 1), (2, 1, 2), (2, 2, 2)]
+        assert ats(Axis.VERTICAL_PAGE) == [(1, 2, 1), (2, 2, 1), (1, 2, 2), (2, 2, 2)]
+        assert ats(Axis.VERTICAL_LAYER) == [(1, 1, 2), (1, 2, 2), (2, 1, 2), (2, 2, 2)]
+
     def test_order3_fixed_i1_contributions(self, example2):
         trace = expand(example2, Axis.HORIZONTAL_LAYER, 1)
         got = [t.contribution for t in trace.terms]
@@ -134,6 +144,42 @@ class TestExpand:
     def test_index_must_be_int(self, example1):
         with pytest.raises(TypeError):
             expand(example1, Axis.HORIZONTAL_LAYER, "1")
+
+
+def test_layer_index_contract(example1, example2):
+    # Every function that takes a layer checks it the same way: an int
+    # index (bool rejected) in 1..n and an Axis, else TypeError or
+    # IndexError, never a KeyError or AttributeError from a lookup.
+    calls = {
+        "scale_layer": lambda A, axis, index: A.scale_layer(axis, index, 2),
+        "swap_layers a": lambda A, axis, index: A.swap_layers(axis, index, 1),
+        "swap_layers b": lambda A, axis, index: A.swap_layers(axis, 1, index),
+        "expand": expand,
+        "det_laplace": det_laplace,
+    }
+    for name, call in calls.items():
+        for A in (example1, example2):
+            n = A.order
+            for axis in Axis:
+                for bad in (1.5, 2.0, True, "1"):
+                    message = f"^layer index must be an int, got {re.escape(repr(bad))}$"
+                    with pytest.raises(TypeError, match=message):
+                        call(A, axis, bad)
+                for bad in (0, n + 1):
+                    message = f"^{axis.letter}-layer index {bad} out of range for an order-{n} matrix$"
+                    with pytest.raises(IndexError, match=message):
+                        call(A, axis, bad)
+            for index in (1, 0, n + 1, 2**70, 1.5):
+                with pytest.raises(TypeError):
+                    call(A, "h", index)
+            for axis in (None, 1, "p", Axis, [Axis.VERTICAL_PAGE]):
+                for index in (None, -1, 1, 2**70, "x", 2.5, False):
+                    try:
+                        call(A, axis, index)
+                    except (TypeError, IndexError):
+                        pass
+                    else:
+                        pytest.fail(f"{name} accepted axis {axis!r} index {index!r}")
 
 
 class TestPaperDefRelation:

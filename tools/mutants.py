@@ -1,0 +1,252 @@
+"""Mutation catalogue: deliberate faults that the test suite must catch.
+
+    python3 tools/mutants.py
+
+Each mutant replaces one piece of text in one file under ``src/``.  The
+script copies ``src/`` and ``tests/`` into a fresh temporary directory,
+applies the change there (the repository is never edited) and runs the
+mutant's test ids with pytest, one after another, with
+``PYTHONDONTWRITEBYTECODE=1``.  A mutant is killed when at least one of
+its tests fails; it survives when all of them pass.
+
+Before any mutant runs, every named test must pass on the unchanged
+copy, and every mutant's old text must occur exactly once in its file.
+Either failure means the catalogue no longer matches the code: the
+script says which entry and exits with code 2.  It exits with code 1 if
+a mutant survives, and 0 when all are killed.
+
+A change that adds a guard adds the mutant that removes it.  This is
+not part of the tier-1 suite: it runs pytest once per named test.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+Mutant = namedtuple("Mutant", "name path old new tests")
+
+MUTANTS = (
+    Mutant(
+        "lcm-as-max",
+        "src/cubicdet/core3d.py",
+        "self._scale = math.lcm(*[c.den for c in cells])",
+        "self._scale = max([c.den for c in cells])",
+        (
+            "tests/test_core3d.py::TestLayerTransforms::test_results_keep_the_integer_view",
+            "tests/test_determinant.py::TestGoldenDeterminants::test_rational_entries",
+            "tests/test_rational_reference.py::test_every_route_matches_the_reference",
+        ),
+    ),
+    Mutant(
+        "expand-minor-denominator",
+        "src/cubicdet/laplace.py",
+        "minor_den = A._scale ** (A.order - 1)",
+        "minor_den = A._scale**A.order",
+        (
+            "tests/test_rational_reference.py::test_every_route_matches_the_reference",
+            "tests/test_laplace.py::test_expansion_totals_are_the_traced_totals",
+        ),
+    ),
+    Mutant(
+        "det-laplace-denominator",
+        "src/cubicdet/laplace.py",
+        "_LAPLACE_FLAT[(A.order, axis, index)], A._ints), A._scale**A.order)",
+        "_LAPLACE_FLAT[(A.order, axis, index)], A._ints), A._scale ** (A.order - 1))",
+        ("tests/test_rational_reference.py::test_every_route_matches_the_reference",),
+    ),
+    Mutant(
+        "totals-no-bound-check",
+        "src/cubicdet/laplace.py",
+        "if not (_NUM_MIN <= minor_value <= _NUM_MAX and _NUM_MIN <= contribution <= _NUM_MAX):",
+        "if False:",
+        (
+            "tests/test_determinant.py::TestOverflowAgreement::test_unrepresentable_trace_values_raise",
+            "tests/test_determinant.py::TestOverflowAgreement::test_a_contribution_of_2_63_raises",
+            "tests/test_determinant.py::TestOverflowAgreement::test_unreduced_ints_past_64_bits_with_a_reduced_trace",
+            "tests/test_laplace.py::test_expansion_totals_are_the_traced_totals",
+        ),
+    ),
+    Mutant(
+        "totals-no-den-max-guard",
+        "src/cubicdet/laplace.py",
+        "if den <= _DEN_MAX:",
+        "if True:",
+        ("tests/test_determinant.py::TestOverflowAgreement::test_unrepresentable_trace_values_raise",),
+    ),
+    Mutant(
+        "swap-zips-a-layer-with-itself",
+        "src/cubicdet/core3d.py",
+        "pairs = zip(self._layer_cells(axis, a), self._layer_cells(axis, b))",
+        "pairs = zip(self._layer_cells(axis, a), self._layer_cells(axis, a))",
+        (
+            "tests/test_core3d.py::TestLayerTransforms::test_swap_moves_entries",
+            "tests/test_determinant.py::TestDerivedLaws::test_swap_symmetries",
+            "tests/test_acceptance.py::test_criterion_5_derived_laws",
+        ),
+    ),
+    Mutant(
+        "terms3-flipped-sign",
+        "src/cubicdet/determinant.py",
+        "(1, ((1, 1, 1), (2, 2, 2), (3, 3, 3))),",
+        "(-1, ((1, 1, 1), (2, 2, 2), (3, 3, 3))),",
+        (
+            "tests/test_determinant.py::TestPermTerms::test_matches_closed_form_tables",
+            "tests/test_determinant.py::TestOracleAgreement::test_seeded_random",
+            "tests/test_acceptance.py::test_criterion_4_term_table_identity",
+        ),
+    ),
+    Mutant(
+        "sign-expansion-paper-def",
+        "src/cubicdet/determinant.py",
+        "return -1 if (at.j + at.k) % 2 else 1",
+        "return -1 if (at.i + at.j + at.k) % 2 else 1",
+        (
+            "tests/test_determinant.py::TestSigns::test_expansion_sign_values",
+            "tests/test_laplace.py::TestExpand::test_order2_fixed_i1_trace",
+            "tests/test_laplace.py::TestDetLaplace::test_golden_all_paths",
+        ),
+    ),
+    Mutant(
+        "integer-grammar-unicode-digits",
+        "src/cubicdet/io.py",
+        r'_INTEGER = re.compile(r"[+-]?[0-9]+\Z")',
+        r'_INTEGER = re.compile(r"[+-]?\d+\Z")',
+        (
+            "tests/test_io.py::TestTextFormat::test_order_line_errors",
+            "tests/test_cli.py::TestErrorHandling::test_order_outside_the_grammar",
+        ),
+    ),
+    Mutant(
+        "kept-cells-i-major",
+        "src/cubicdet/core3d.py",
+        "for sk in rest_k for si in rest_i for sj in rest_j",
+        "for si in rest_i for sk in rest_k for sj in rest_j",
+        (
+            "tests/test_core3d.py::TestDeleteSub::test_golden_minor_submatrices",
+            "tests/test_laplace.py::TestMinor::test_golden_minors",
+        ),
+    ),
+    Mutant(
+        "vertical-layer-trace-j-major",
+        "src/cubicdet/core3d.py",
+        "return [(i, j, index) for i in rng for j in rng]",
+        "return [(i, j, index) for j in rng for i in rng]",
+        (
+            "tests/test_laplace.py::TestExpand::test_trace_order_per_axis",
+            "tests/test_rational_reference.py::test_transforms_match_the_reference_up_to_the_bounds",
+        ),
+    ),
+    Mutant(
+        "paths-in-l-p-h-order",
+        "src/cubicdet/core3d.py",
+        "_PATHS = {order: tuple((axis, index) for axis in _AXES for",
+        "_PATHS = {order: tuple((axis, index) for axis in _AXES[::-1] for",
+        ("tests/test_cli.py::TestVerify::test_matches_frozen_golden_file",),
+    ),
+    Mutant(
+        "reduced-cells-not-reducing",
+        "src/cubicdet/io.py",
+        "return ((v // (g := math.gcd(v, scale)), scale // g) for v in A._ints)",
+        "return ((v, scale) for v in A._ints)",
+        (
+            "tests/test_io.py::test_serialize_text_prints_each_reduced_entry",
+            "tests/test_verify.py::TestMatrixDigest::test_pinned_rational_digest",
+        ),
+    ),
+    Mutant(
+        "layer-cells-accepts-a-float",
+        "src/cubicdet/core3d.py",
+        "(isinstance(index, bool) or not isinstance(index, int))",
+        "(isinstance(index, bool) or not isinstance(index, (int, float)))",
+        ("tests/test_laplace.py::test_layer_index_contract",),
+    ),
+    Mutant(
+        "index3-accepts-a-float",
+        "src/cubicdet/core3d.py",
+        "not isinstance(x, int) for x in (i, j, k)",
+        "not isinstance(x, (int, float)) for x in (i, j, k)",
+        ("tests/test_core3d.py::TestIndex3::test_one_based",),
+    ),
+)
+
+
+class StaleCatalogue(Exception):
+    """The catalogue no longer matches the code or the tests."""
+
+
+def _copy_tree(dest: Path) -> None:
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
+
+
+def _mutated(text: str, mutant: Mutant) -> str:
+    count = text.count(mutant.old)
+    if count != 1:
+        raise StaleCatalogue(f"{mutant.name}: old text occurs {count} times in {mutant.path}, expected once")
+    return text.replace(mutant.old, mutant.new)
+
+
+def _pytest(dest: Path, test_ids) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(dest / "src"))
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *test_ids]
+    return subprocess.run(command, cwd=dest, env=env, capture_output=True, text=True)
+
+
+def _check_baseline(mutants) -> None:
+    """Every old text occurs once and every named test passes unmutated."""
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        dest = Path(tmp)
+        _copy_tree(dest)
+        for mutant in mutants:
+            _mutated((dest / mutant.path).read_text(encoding="utf-8"), mutant)
+        test_ids = sorted({test_id for mutant in mutants for test_id in mutant.tests})
+        result = _pytest(dest, test_ids)
+        if result.returncode != 0:
+            raise StaleCatalogue(f"the named tests do not all pass unmutated:\n{result.stdout}{result.stderr}")
+
+
+def run_mutant(mutant: Mutant) -> list[str]:
+    """The mutant's tests that fail with the mutation applied."""
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        dest = Path(tmp)
+        _copy_tree(dest)
+        target = dest / mutant.path
+        target.write_text(_mutated(target.read_text(encoding="utf-8"), mutant), encoding="utf-8")
+        failed = []
+        for test_id in mutant.tests:
+            result = _pytest(dest, [test_id])
+            if result.returncode in (1, 2):  # a test failed, or the mutant broke collection
+                failed.append(test_id)
+            elif result.returncode != 0:
+                raise StaleCatalogue(f"{mutant.name}: pytest exit {result.returncode} on {test_id}:\n{result.stdout}")
+        return failed
+
+
+def main() -> int:
+    survivors = 0
+    try:
+        _check_baseline(MUTANTS)
+        for mutant in MUTANTS:
+            failed = run_mutant(mutant)
+            if failed:
+                print(f"killed    {mutant.name}: {len(failed)}/{len(mutant.tests)} tests failed", flush=True)
+            else:
+                survivors += 1
+                print(f"SURVIVED  {mutant.name}: all {len(mutant.tests)} tests passed", flush=True)
+    except StaleCatalogue as err:
+        print(f"stale catalogue: {err}", file=sys.stderr)
+        return 2
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
