@@ -16,9 +16,13 @@ The layer geometry is derived here alone, in three tables: ``_CELLS``
 (each layer's cells in trace order) and ``_PATHS`` (the h, p, l order of
 the 3n expansions).  ``CubicMatrix._layer_cells`` checks every layer.
 
-Everything here is immutable after construction and every operation is
-pure: methods return new objects and never touch their inputs, so values
-can be shared freely between threads or tasks.
+Every value here is immutable after construction and every operation
+is pure: methods return new objects and never change the value of their
+inputs, so values can be shared freely between threads or tasks.  The
+one private mutable slot is a matrix's per-cell memo (``_cell_memo``),
+which the laplace module fills on first read, one cell at a time, with
+values that depend on the matrix value alone; filling a cell twice
+stores the same value.
 """
 
 from __future__ import annotations
@@ -85,8 +89,9 @@ class Scalar:
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int = 1):
-        if not isinstance(num, int) or not isinstance(den, int):
-            raise TypeError(f"Scalar components must be int, got {num!r}/{den!r}")
+        if type(num) is not int or type(den) is not int:  # fast path for plain ints
+            if isinstance(num, bool) or isinstance(den, bool) or not isinstance(num, int) or not isinstance(den, int):
+                raise TypeError(f"Scalar components must be int, got {num!r}/{den!r}")
         if den == 0:
             raise ZeroDivisionError("Scalar denominator is zero")
         if den < 0:
@@ -274,7 +279,7 @@ class CubicMatrix:
     -7/2
     """
 
-    __slots__ = ("order", "_scale", "_ints")
+    __slots__ = ("order", "_scale", "_ints", "_cell_memo")
 
     def __init__(self, order: int, layers):
         if not isinstance(order, int) or isinstance(order, bool) or order < 1:
@@ -305,6 +310,7 @@ class CubicMatrix:
         self.order = order
         self._scale = math.lcm(*[c.den for c in cells])
         self._ints = tuple([c.num * (self._scale // c.den) for c in cells])
+        self._cell_memo = None
 
     @classmethod
     def _reduced(cls, order: int, scale: int, ints, changed=()) -> "CubicMatrix":
@@ -324,6 +330,7 @@ class CubicMatrix:
         m.order = order
         m._scale = scale
         m._ints = tuple(ints)
+        m._cell_memo = None
         return m
 
     @classmethod
@@ -332,20 +339,30 @@ class CubicMatrix:
             raise ShapeError(f"order must be 1, 2, or 3, got {order!r}")
         return cls._reduced(order, 1, (0,) * order**3)
 
-    def _check_range(self, at: Index3) -> None:
+    def _entry_flat(self, at) -> int:
+        """The flat index of the entry address ``at``: an Index3, or any
+        three components, which are checked as an Index3 is."""
+        if type(at) is not Index3:
+            try:
+                i, j, k = at
+            except (TypeError, ValueError):
+                raise TypeError(f"entry address must be an Index3 or three ints, got {at!r}") from None
+            at = Index3(i, j, k)
         n = self.order
         if at.i > n or at.j > n or at.k > n:
             raise IndexError(f"entry index {at} out of range for an order-{n} matrix")
+        return _flat(n, *at)
+
+    def _minor_flat(self, at) -> int:
+        """``_entry_flat(at)`` for an entry that has a minor (order >= 2)."""
+        if self.order == 1:
+            raise ShapeError("an order-1 matrix has no sub-matrices to delete down to")
+        return self._entry_flat(at)
 
     def get(self, at: Index3) -> Scalar:
-        self._check_range(at)
-        return Scalar(self._ints[_flat(self.order, at.i, at.j, at.k)], self._scale)
+        return Scalar(self._ints[self._entry_flat(at)], self._scale)
 
-    def __getitem__(self, key) -> Scalar:
-        if isinstance(key, Index3):
-            return self.get(key)
-        i, j, k = key
-        return self.get(Index3(i, j, k))
+    __getitem__ = get
 
     def layers(self) -> list[list[list[Scalar]]]:
         """Entries as nested lists indexed [k-1][i-1][j-1]."""
@@ -375,11 +392,8 @@ class CubicMatrix:
         """The order-(n-1) matrix left after removing horizontal layer
         at.i, vertical page at.j, and vertical layer at.k.  Residual
         layers keep their relative order."""
-        if self.order == 1:
-            raise ShapeError("an order-1 matrix has no sub-matrices to delete down to")
-        self._check_range(at)
+        _, kept = _CELLS[self.order][self._minor_flat(at)]
         ints = self._ints
-        _, kept = _CELLS[self.order][_flat(self.order, at.i, at.j, at.k)]
         return CubicMatrix._reduced(self.order - 1, self._scale, [ints[f] for f in kept])
 
     def scale_layer(self, axis: Axis, index: int, c) -> "CubicMatrix":

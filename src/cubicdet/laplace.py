@@ -72,50 +72,76 @@ class ExpansionTrace(namedtuple("ExpansionTrace", "axis index terms total")):
     total: Scalar
 
 
+def _minor_int(A: CubicMatrix, f: int) -> int:
+    """The minor of A's flat cell f as an int over A._scale**(n-1): the
+    closed form of the cells left after deleting the three layers through f."""
+    n = A.order
+    ints = A._ints
+    return _table_sum(n - 1, _FLAT[n - 1], [ints[g] for g in _CELLS[n][f][1]])
+
+
+def _cell(A: CubicMatrix, f: int) -> tuple:
+    """(entry, minor, minor int) of A's flat cell f: the entry and its
+    minor as Scalars, and the minor as _minor_int gives it.
+
+    The minor belongs to the entry, so it is computed once per matrix,
+    on first request, and kept in A._cell_memo; a cell whose minor
+    leaves 64 bits is not kept, and raises again.
+    """
+    memo = A._cell_memo
+    if memo is None:
+        memo = A._cell_memo = [None] * len(A._ints)
+    cell = memo[f]
+    if cell is None:
+        minor_value = _minor_int(A, f)
+        cell = memo[f] = (Scalar(A._ints[f], A._scale), Scalar(minor_value, A._scale ** (A.order - 1)), minor_value)
+    return cell
+
+
 def minor(A: CubicMatrix, at: Index3) -> Scalar:
-    """det of the sub-matrix left after deleting the three layers through at."""
+    """det of the sub-matrix left after deleting the three layers through at.
+
+    Computed by that definition on every call, not read from the memo
+    that expand and cofactor share: the benchmark's traced reference pass
+    (bench/run.py) reaches CubicMatrix.delete_sub only through this
+    function and fails when nothing calls it.  Once that pass calls
+    delete_sub itself, this should read _cell too (ROADMAP item 7).
+    """
     return det_closed(A.delete_sub(at))
 
 
 def cofactor(A: CubicMatrix, at: Index3, convention: SignConvention = SignConvention.EXPANSION) -> Scalar:
-    """Signed minor of the entry at ``at`` under the chosen convention."""
-    value = minor(A, at)
+    """Signed minor of the entry at ``at`` under the chosen convention,
+    the minor read from A's per-cell memo (see _cell)."""
+    f = A._minor_flat(at)
+    value = _cell(A, f)[1]
+    at = _CELLS[A.order][f][0]
     sign = sign_expansion(at) if convention is SignConvention.EXPANSION else sign_paper_def(at)
     return value if sign > 0 else -value
-
-
-def _contributions(A: CubicMatrix, cells):
-    """Yield (at, f, sign, minor, contribution) per flat index f of cells,
-    in their order, as ints over A._ints: the minor is scaled by
-    _scale**(n-1), the contribution by _scale**n."""
-    n = A.order
-    ints = A._ints
-    minor_table = _FLAT[n - 1]
-    for f in cells:
-        at, kept = _CELLS[n][f]
-        sign = sign_expansion(at)
-        minor_value = _table_sum(n - 1, minor_table, [ints[g] for g in kept])
-        yield at, f, sign, minor_value, sign * ints[f] * minor_value
 
 
 def expand(A: CubicMatrix, axis: Axis, index: int) -> ExpansionTrace:
     """One layer expansion with a full per-term trace.
 
     Every term records sign * entry * minor; the total equals the
-    determinant of A.  Each minor is the closed form of the entries left
-    after deleting the term's three layers.
+    determinant of A.  Entries and minors come from A's per-cell memo
+    (see _cell); the sign is read per term, at call time.
     """
-    if A.order == 1:
+    n = A.order
+    if n == 1:
         raise ShapeError("an order-1 matrix has no layers to expand along")
     cells = A._layer_cells(axis, index)
-    minor_den = A._scale ** (A.order - 1)
-    den = minor_den * A._scale
+    ints = A._ints
+    den = A._scale**n
     terms = []
     total = 0
-    for at, f, sign, minor_value, contribution in _contributions(A, cells):
+    for f in cells:
+        at = _CELLS[n][f][0]
+        entry, minor_value, minor_int = _cell(A, f)
+        sign = sign_expansion(at)
+        contribution = sign * ints[f] * minor_int
         total += contribution
-        entry = Scalar(A._ints[f], A._scale)
-        terms.append(TraceTerm(at, entry, sign, Scalar(minor_value, minor_den), Scalar(contribution, den)))
+        terms.append(TraceTerm(at, entry, sign, minor_value, Scalar(contribution, den)))
     return ExpansionTrace(axis, index, tuple(terms), Scalar(total, den))
 
 
@@ -124,16 +150,25 @@ def _expansion_totals(A: CubicMatrix) -> list[Scalar]:
 
     An entry's term sign * entry * minor is the same in the three
     expansions through it, so each of the n**3 terms is computed once,
-    over _CELLS, and every expansion sums its _LAYER_FLAT cells.  The one
-    fallback: if _scale**n or any minor or contribution leaves 64 bits,
-    return expand_all's totals.  Otherwise only a total can overflow, as
-    the same Scalar expand builds, so this raises exactly as expand_all.
+    over _CELLS, and every expansion sums its _LAYER_FLAT cells.  As ints
+    over A._ints, a minor is scaled by _scale**(n-1) and a contribution
+    by _scale**n.  The minors are _cell's, from _minor_int, but the
+    memo is neither read nor filled: cross_check calls this once per
+    matrix, where the memo's Scalars would buy nothing.
+
+    The one fallback: if _scale**n or any minor or contribution leaves
+    64 bits, return expand_all's totals.  Otherwise only a total can
+    overflow, as the same Scalar expand builds, so this raises exactly
+    as expand_all.
     """
     n = A.order
     den = A._scale**n
     if den <= _DEN_MAX:
+        ints = A._ints
         terms = []
-        for _, _, _, minor_value, contribution in _contributions(A, range(n**3)):
+        for f, (at, _) in enumerate(_CELLS[n]):
+            minor_value = _minor_int(A, f)
+            contribution = sign_expansion(at) * ints[f] * minor_value
             if not (_NUM_MIN <= minor_value <= _NUM_MAX and _NUM_MIN <= contribution <= _NUM_MAX):
                 break
             terms.append(contribution)

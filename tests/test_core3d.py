@@ -92,6 +92,11 @@ class TestScalar:
             Scalar(0.5)  # type: ignore[arg-type]
         with pytest.raises(TypeError):
             Scalar(1, 2.0)  # type: ignore[arg-type]
+        # bool is an int subclass, but not a component.
+        with pytest.raises(TypeError, match=r"^Scalar components must be int, got True/1$"):
+            Scalar(True)
+        with pytest.raises(TypeError, match=r"^Scalar components must be int, got 1/False$"):
+            Scalar(1, False)
 
 
 class TestIndex3:

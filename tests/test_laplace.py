@@ -1,6 +1,9 @@
 import math
 import re
+import sys
+import threading
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -23,7 +26,9 @@ from cubicdet import (
     expand_all,
     minor,
     random_cubic,
+    sign_expansion,
 )
+from cubicdet import laplace
 from cubicdet.determinant import _perm_flat
 from cubicdet.laplace import _LAPLACE_FLAT, _expansion_totals
 
@@ -182,6 +187,48 @@ def test_layer_index_contract(example1, example2):
                         pytest.fail(f"{name} accepted axis {axis!r} index {index!r}")
 
 
+def test_entry_address_contract(example1, example2):
+    # Every function that takes an entry address checks it the same way:
+    # an Index3 or any three components, checked as an Index3 is, in
+    # range for the order, else TypeError or IndexError, never a KeyError
+    # or AttributeError from a lookup.
+    calls = {
+        "get": lambda A, at: A.get(at),
+        "[]": lambda A, at: A[at],
+        "delete_sub": lambda A, at: A.delete_sub(at),
+        "minor": minor,
+        "cofactor": cofactor,
+        "cofactor paper-def": lambda A, at: cofactor(A, at, SignConvention.PAPER_DEF),
+    }
+    for name, call in calls.items():
+        for A in (example1, example2):
+            n = A.order
+            for at in ((1, 2, n), (n, 1, 1)):
+                want = call(A, Index3(*at))
+                assert call(A, at) == call(A, list(at)) == call(A, iter(at)) == want, (name, at)
+            for bad in ((1, 1), (1, 1, 1, 1), [], "12", None, 5, 1.5, Index3):
+                message = f"^entry address must be an Index3 or three ints, got {re.escape(repr(bad))}$"
+                with pytest.raises(TypeError, match=message):
+                    call(A, bad)
+            for bad in ((True, 1, 1), (1, 1.0, 1), (1, 1, "1"), "111", [2.5, 1, 1]):
+                with pytest.raises(TypeError, match="^entry index components must be ints, got "):
+                    call(A, bad)
+            for bad in ((0, 1, 1), [1, -1, 1], (1, 1, -(2**70))):
+                with pytest.raises(IndexError, match=r"^entry index \(.*\) must be 1-based"):
+                    call(A, bad)
+            for bad in ((n + 1, 1, 1), Index3(1, n + 1, 1), [1, 1, 2**70]):
+                message = rf"^entry index \(.*\) out of range for an order-{n} matrix$"
+                with pytest.raises(IndexError, match=message):
+                    call(A, bad)
+    # An order-1 matrix has its one entry, but no minors at any address.
+    A = CubicMatrix(1, [[[9]]])
+    assert A.get((1, 1, 1)) == A[1, 1, 1] == Scalar(9)
+    for name in ("delete_sub", "minor", "cofactor", "cofactor paper-def"):
+        for at in (Index3(1, 1, 1), (1, 1, 1), (2, 1, 1), None):
+            with pytest.raises(ShapeError, match="^an order-1 matrix has no sub-matrices to delete down to$"):
+                calls[name](A, at)
+
+
 class TestPaperDefRelation:
     def test_fixed_i_paper_def_sum(self, example2):
         # Summing entry * paper-def cofactor over a fixed-i layer gives
@@ -280,3 +327,96 @@ def test_expansion_totals_are_the_traced_totals(A):
         assert str(info.value) == str(err)
     else:
         assert _expansion_totals(A) == want
+
+
+def _outcome(call, *args):
+    """A call's value, or the message of the ScalarOverflowError it raises."""
+    try:
+        return call(*args)
+    except ScalarOverflowError as err:
+        return f"ScalarOverflowError: {err}"
+
+
+@given(edge_cubics())
+def test_memo_answers_as_a_fresh_matrix(A):
+    # expand and cofactor share one per-cell memo on the matrix object:
+    # in either call order, each call answers, or raises, exactly as the
+    # same call on a fresh equal matrix, whose memo is empty.
+    n = A.order
+    expansions = [(expand, axis, index) for axis in Axis for index in range(1, n + 1)]
+    cells = [
+        (call, Index3(i, j, k), *convention)
+        for k, i, j in product(range(1, n + 1), repeat=3)
+        for call, *convention in ((minor,), (cofactor,), (cofactor, SignConvention.PAPER_DEF))
+    ]
+
+    def copy():  # an equal matrix with an empty memo
+        return CubicMatrix._reduced(n, A._scale, A._ints)
+
+    fresh = {(call, *args): _outcome(call, copy(), *args) for call, *args in expansions + cells}
+    for calls in (expansions + cells, cells + expansions):
+        shared = copy()
+        for call, *args in calls:
+            assert _outcome(call, shared, *args) == fresh[(call, *args)], (call, args)
+
+
+def test_expand_reads_the_sign_at_call_time(example2, monkeypatch):
+    # The memo holds entries and minors, never signs: a sign patched
+    # after an expansion shows in the next expansion of the same object.
+    before = expand(example2, Axis.HORIZONTAL_LAYER, 1)
+    assert example2._cell_memo is not None
+    monkeypatch.setattr(laplace, "sign_expansion", lambda at: -sign_expansion(at))
+    after = expand(example2, Axis.HORIZONTAL_LAYER, 1)
+    assert [t.sign for t in after.terms] == [-t.sign for t in before.terms]
+    assert [t.contribution for t in after.terms] == [-t.contribution for t in before.terms]
+    assert [t.minor_value for t in after.terms] == [t.minor_value for t in before.terms]
+    assert after.total == -before.total == Scalar(-326)
+    # So does a cofactor read from the memo: sign -1 is patched to +1.
+    assert cofactor(example2, Index3(1, 2, 3)) == minor(example2, Index3(1, 2, 3)) == Scalar(1)
+
+
+def test_memo_leaves_equality_and_hash(example2):
+    fresh = CubicMatrix(3, example2.layers())
+    expand_all(example2)
+    cofactor(example2, Index3(2, 2, 2))
+    assert example2._cell_memo is not None and fresh._cell_memo is None
+    assert example2 == fresh and hash(example2) == hash(fresh)
+    assert {fresh: "found"}[example2] == "found"
+
+
+def test_memo_is_shared_safely_between_threads():
+    # Two threads may fill the same cell, or each install a memo list and
+    # lose the other's fills; both only repeat work, so every answer is
+    # still the fresh one.
+    def answers(A):
+        at_cells = [Index3(i, j, k) for i, j, k in product((1, 2, 3), repeat=3)]
+        return expand_all(A) + [cofactor(A, at) for at in at_cells]
+
+    def copies():
+        return [random_cubic(GenSpec(3, seed, 9)).scale(Scalar(1, 3)) for seed in range(40)]
+
+    want = [answers(A) for A in copies()]
+    shared = copies()
+    errors = []
+
+    def work(offset):
+        try:
+            for step in range(len(shared)):
+                s = (step + offset) % len(shared)
+                if answers(shared[s]) != want[s]:
+                    errors.append(f"matrix {s} answered differently")
+        except Exception as err:  # reported below, in the test's thread
+            errors.append(repr(err))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(offset,)) for offset in (0, 0, 1, 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []

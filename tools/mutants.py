@@ -48,11 +48,21 @@ MUTANTS = (
     Mutant(
         "expand-minor-denominator",
         "src/cubicdet/laplace.py",
-        "minor_den = A._scale ** (A.order - 1)",
-        "minor_den = A._scale**A.order",
+        "Scalar(minor_value, A._scale ** (A.order - 1))",
+        "Scalar(minor_value, A._scale**A.order)",
         (
             "tests/test_rational_reference.py::test_every_route_matches_the_reference",
             "tests/test_laplace.py::test_expansion_totals_are_the_traced_totals",
+        ),
+    ),
+    Mutant(
+        "memo-ignores-the-cell",
+        "src/cubicdet/laplace.py",
+        "cell = memo[f]\n",
+        "cell = memo[0]\n",
+        (
+            "tests/test_laplace.py::test_memo_answers_as_a_fresh_matrix",
+            "tests/test_laplace.py::test_expand_reads_the_sign_at_call_time",
         ),
     ),
     Mutant(
@@ -167,6 +177,20 @@ MUTANTS = (
         "(isinstance(index, bool) or not isinstance(index, int))",
         "(isinstance(index, bool) or not isinstance(index, (int, float)))",
         ("tests/test_laplace.py::test_layer_index_contract",),
+    ),
+    Mutant(
+        "entry-address-trusts-a-tuple",
+        "src/cubicdet/core3d.py",
+        "if type(at) is not Index3:",
+        "if not isinstance(at, tuple):",
+        ("tests/test_laplace.py::test_entry_address_contract",),
+    ),
+    Mutant(
+        "scalar-accepts-a-bool",
+        "src/cubicdet/core3d.py",
+        "if isinstance(num, bool) or isinstance(den, bool) or not isinstance(num, int)",
+        "if not isinstance(num, int)",
+        ("tests/test_core3d.py::TestScalar::test_rejects_non_int_components",),
     ),
     Mutant(
         "index3-accepts-a-float",
