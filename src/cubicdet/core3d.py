@@ -207,6 +207,18 @@ class Axis(Enum):
         return self.value
 
 
+def _index3(at) -> Index3:
+    """The entry address ``at`` as an Index3: an Index3, or any three
+    components, which are checked as an Index3 is.  No order bounds it."""
+    if type(at) is not Index3:
+        try:
+            i, j, k = at
+        except (TypeError, ValueError):
+            raise TypeError(f"entry address must be an Index3 or three ints, got {at!r}") from None
+        at = Index3(i, j, k)
+    return at
+
+
 def _flat(order: int, i: int, j: int, k: int) -> int:
     return (k - 1) * order * order + (i - 1) * order + (j - 1)
 
@@ -340,14 +352,8 @@ class CubicMatrix:
         return cls._reduced(order, 1, (0,) * order**3)
 
     def _entry_flat(self, at) -> int:
-        """The flat index of the entry address ``at``: an Index3, or any
-        three components, which are checked as an Index3 is."""
-        if type(at) is not Index3:
-            try:
-                i, j, k = at
-            except (TypeError, ValueError):
-                raise TypeError(f"entry address must be an Index3 or three ints, got {at!r}") from None
-            at = Index3(i, j, k)
+        """The flat index of the entry address ``at`` (see _index3)."""
+        at = _index3(at)
         n = self.order
         if at.i > n or at.j > n or at.k > n:
             raise IndexError(f"entry index {at} out of range for an order-{n} matrix")

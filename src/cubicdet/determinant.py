@@ -10,6 +10,21 @@ Two independent evaluation routes live here:
   entries a[i, sigma(i), tau(i)].  Nothing is shared with the tables,
   so agreement between the two routes is a real check, not a tautology.
 
+Kernels
+-------
+Every table of (sign, f1, ..., fn) rows over flat cells is evaluated by
+a kernel: the table written out as one straight-line expression
+``+a[f1]*a[f2]*a[f3]-a[...]...`` over the matrix's ``_ints`` and
+compiled with ``eval`` into a function of ``a``.  A sign other than +1
+or -1 is written as a literal coefficient, so the kernel computes
+exactly its table, whatever the table says.  Compiling costs far more
+than one evaluation, so a :class:`_Kernels` cache compiles each kernel
+on its first use, per key, and never at import: a CLI command pays only
+for the kernels it runs.  Each route's kernel is built from that
+route's own table alone (``_FLAT`` here, ``perm_terms`` for the oracle,
+the unrolled recursion in laplace), so sharing the compiler couples the
+routes no more than sharing ``+`` and ``*`` does.
+
 Sign functions
 --------------
 Both layer-expansion sign conventions are defined here so the rest of
@@ -35,10 +50,11 @@ expansions whenever the fixed layer index is even.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .core3d import CubicMatrix, Index3, Scalar, _flat
+from .core3d import CubicMatrix, Index3, Scalar, _flat, _index3
 
 __all__ = [
     "SignedTerm",
@@ -125,19 +141,34 @@ class SignedTerm(namedtuple("SignedTerm", "sign positions value")):
     value: Scalar
 
 
-def _table_sum(order: int, table, ints) -> int:
-    """Sum of sign * ints[f1] * ... * ints[fn] over a (sign, f1, ..., fn) table."""
-    acc = 0
-    if order == 3:
-        for sign, f1, f2, f3 in table:
-            acc += sign * ints[f1] * ints[f2] * ints[f3]
-    elif order == 2:
-        for sign, f1, f2 in table:
-            acc += sign * ints[f1] * ints[f2]
-    else:
-        for sign, f1 in table:
-            acc += sign * ints[f1]
-    return acc
+def _expression(table) -> str:
+    """The sum of sign * a[f1] * ... * a[fn] over a (sign, f1, ..., fn)
+    table, written out as one Python expression in ``a``."""
+    coefficients = {1: "+", -1: "-"}
+    return "".join(
+        coefficients.get(sign, f"{sign:+d}*") + "*".join([f"a[{f}]" for f in cells]) for sign, *cells in table
+    )
+
+
+class _Kernels(dict):
+    """Compiled kernels by key, each compiled on its first use.
+
+    ``source(key)`` gives the kernel's expression in ``a``, built only
+    from the package's own tables; the kernel is that expression as a
+    function of ``a``, with no builtins in reach.
+    """
+
+    def __init__(self, source):
+        super().__init__()
+        self.source = source
+
+    def __missing__(self, key):
+        kernel = self[key] = eval("lambda a: " + self.source(key), {"__builtins__": {}})
+        return kernel
+
+
+# The closed form of each order, as a kernel over the flat ints.
+_CLOSED = _Kernels(lambda order: _expression(_FLAT[order]))
 
 
 def det_closed(A: CubicMatrix) -> Scalar:
@@ -146,7 +177,7 @@ def det_closed(A: CubicMatrix) -> Scalar:
     Order 1 is the single entry; order 2 sums 4 signed products of 2
     entries; order 3 sums 36 signed products of 3 entries.
     """
-    return Scalar(_table_sum(A.order, _FLAT[A.order], A._ints), A._scale**A.order)
+    return Scalar(_CLOSED[A.order](A._ints), A._scale**A.order)
 
 
 def _parity(perm: tuple[int, ...]) -> int:
@@ -185,32 +216,42 @@ def _perm_flat(order: int) -> tuple:
     return _flatten(order, perm_terms(order))
 
 
+# The permutation sum of each order, as a kernel over the flat ints.
+_PERM = _Kernels(lambda order: _expression(_perm_flat(order)))
+
+
 def det_permutation(A: CubicMatrix) -> Scalar:
     """Determinant by direct double-permutation summation.
 
     Independent of the closed-form tables; used as the oracle by the
     verification harness.
     """
-    return Scalar(_table_sum(A.order, _perm_flat(A.order), A._ints), A._scale**A.order)
+    return Scalar(_PERM[A.order](A._ints), A._scale**A.order)
 
 
 def signed_terms(A: CubicMatrix) -> list[SignedTerm]:
     """The evaluated permutation-expansion monomials of A, in template order."""
     n = A.order
+    ints = A._ints
     den = A._scale**n
     return [
         SignedTerm(
-            sign, tuple(Index3(i, j, k) for i, j, k in positions), Scalar(_table_sum(n, (row,), A._ints), den)
+            sign,
+            tuple(Index3(i, j, k) for i, j, k in positions),
+            Scalar(math.prod([ints[f] for f in cells], start=row_sign), den),
         )
-        for (sign, positions), row in zip(perm_terms(n), _perm_flat(n))
+        for (sign, positions), (row_sign, *cells) in zip(perm_terms(n), _perm_flat(n))
     ]
 
 
 def sign_expansion(at: Index3) -> int:
-    """The layer-expansion sign (-1)**(j+k); independent of i."""
+    """The layer-expansion sign (-1)**(j+k); independent of i.  ``at`` is
+    an entry address as CubicMatrix.get takes it, with no order bound."""
+    at = _index3(at)
     return -1 if (at.j + at.k) % 2 else 1
 
 
 def sign_paper_def(at: Index3) -> int:
-    """The definitional cofactor sign (-1)**(i+j+k)."""
+    """The definitional cofactor sign (-1)**(i+j+k), of any entry address."""
+    at = _index3(at)
     return -1 if (at.i + at.j + at.k) % 2 else 1

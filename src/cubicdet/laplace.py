@@ -21,6 +21,17 @@ enumerates the free pair with k outermost; fixed k enumerates row-major
 (i outermost, j innermost).  core3d answers every address question
 (which cells a layer holds and a minor keeps, whether a layer is valid);
 this module only signs and sums.
+
+The sums run as determinant's kernels, each compiled on its first use:
+``_LAPLACE`` per (order, axis, index) from det_laplace's unrolled
+recursion, ``_MINOR`` per (order, cell) and ``_MINORS`` per order (all
+n**3 minors in one call) from ``_minor_rows``, the closed form of order
+n-1 read through each cell's kept cells.  The recursion table is built
+from the layer geometry and sign_expansion alone, never from the
+closed-form or permutation tables, so det_laplace stays independent of
+the other two routes.  The minor kernels hold no expansion sign:
+expand and the cross-check's totals multiply by sign_expansion per
+entry, at call time, so a patched sign shows in the next call.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from enum import Enum
 
 from .core3d import _CELLS, _DEN_MAX, _LAYER_FLAT, _NUM_MAX, _NUM_MIN, _PATHS
 from .core3d import Axis, CubicMatrix, Index3, Scalar, ShapeError
-from .determinant import _FLAT, _table_sum, det_closed, sign_expansion, sign_paper_def
+from .determinant import _FLAT, _expression, _Kernels, det_closed, sign_expansion, sign_paper_def
 
 __all__ = [
     "SignConvention",
@@ -72,17 +83,25 @@ class ExpansionTrace(namedtuple("ExpansionTrace", "axis index terms total")):
     total: Scalar
 
 
-def _minor_int(A: CubicMatrix, f: int) -> int:
-    """The minor of A's flat cell f as an int over A._scale**(n-1): the
-    closed form of the cells left after deleting the three layers through f."""
-    n = A.order
-    ints = A._ints
-    return _table_sum(n - 1, _FLAT[n - 1], [ints[g] for g in _CELLS[n][f][1]])
+def _minor_rows(order: int, f: int) -> tuple:
+    """The minor of flat cell f as (sign, g1, ..., g(n-1)) rows over the
+    order-n matrix's own flat cells: _FLAT[n-1] read through f's kept cells."""
+    kept = _CELLS[order][f][1]
+    return tuple((sign, *[kept[g] for g in cells]) for sign, *cells in _FLAT[order - 1])
+
+
+# Per (order, flat cell), that cell's minor as a kernel over A._ints:
+# an int over A._scale**(n-1).
+_MINOR = _Kernels(lambda key: _expression(_minor_rows(*key)))
+
+# Per order, every cell's _MINOR expression in flat order, as one kernel
+# that returns them as a tuple.
+_MINORS = _Kernels(lambda order: "(" + ",".join(_MINOR.source((order, f)) for f in range(order**3)) + ",)")
 
 
 def _cell(A: CubicMatrix, f: int) -> tuple:
     """(entry, minor, minor int) of A's flat cell f: the entry and its
-    minor as Scalars, and the minor as _minor_int gives it.
+    minor as Scalars, and the minor as _MINOR's kernel gives it.
 
     The minor belongs to the entry, so it is computed once per matrix,
     on first request, and kept in A._cell_memo; a cell whose minor
@@ -93,7 +112,7 @@ def _cell(A: CubicMatrix, f: int) -> tuple:
         memo = A._cell_memo = [None] * len(A._ints)
     cell = memo[f]
     if cell is None:
-        minor_value = _minor_int(A, f)
+        minor_value = _MINOR[(A.order, f)](A._ints)
         cell = memo[f] = (Scalar(A._ints[f], A._scale), Scalar(minor_value, A._scale ** (A.order - 1)), minor_value)
     return cell
 
@@ -152,9 +171,11 @@ def _expansion_totals(A: CubicMatrix) -> list[Scalar]:
     expansions through it, so each of the n**3 terms is computed once,
     over _CELLS, and every expansion sums its _LAYER_FLAT cells.  As ints
     over A._ints, a minor is scaled by _scale**(n-1) and a contribution
-    by _scale**n.  The minors are _cell's, from _minor_int, but the
-    memo is neither read nor filled: cross_check calls this once per
-    matrix, where the memo's Scalars would buy nothing.
+    by _scale**n.  The minors are _cell's, from the same _minor_rows,
+    all n**3 of them from one _MINORS kernel call; the memo is neither
+    read nor filled: cross_check calls this once per matrix, where the
+    memo's Scalars would buy nothing.  The signs are read per entry, at
+    call time, as expand reads them.
 
     The one fallback: if _scale**n or any minor or contribution leaves
     64 bits, return expand_all's totals.  Otherwise only a total can
@@ -165,16 +186,10 @@ def _expansion_totals(A: CubicMatrix) -> list[Scalar]:
     den = A._scale**n
     if den <= _DEN_MAX:
         ints = A._ints
-        terms = []
-        for f, (at, _) in enumerate(_CELLS[n]):
-            minor_value = _minor_int(A, f)
-            contribution = sign_expansion(at) * ints[f] * minor_value
-            if not (_NUM_MIN <= minor_value <= _NUM_MAX and _NUM_MIN <= contribution <= _NUM_MAX):
-                break
-            terms.append(contribution)
-        else:
-            layers = [_LAYER_FLAT[(n, axis, index)] for axis, index in _PATHS[n]]
-            return [Scalar(sum([terms[f] for f in layer]), den) for layer in layers]
+        minors = _MINORS[n](ints)
+        terms = [sign_expansion(at) * v * m for (at, _), v, m in zip(_CELLS[n], ints, minors)]
+        if _NUM_MIN <= min(minors) and max(minors) <= _NUM_MAX and _NUM_MIN <= min(terms) and max(terms) <= _NUM_MAX:
+            return [Scalar(sum([terms[f] for f in _LAYER_FLAT[(n, axis, index)]]), den) for axis, index in _PATHS[n]]
     return [trace.total for trace in expand_all(A)]
 
 
@@ -200,6 +215,9 @@ def _laplace_table() -> dict:
 
 _LAPLACE_FLAT = _laplace_table()
 
+# Per (order, axis, index), det_laplace's table as a kernel over A._ints.
+_LAPLACE = _Kernels(lambda key: _expression(_LAPLACE_FLAT[key]))
+
 
 def det_laplace(A: CubicMatrix, axis: Axis = Axis.HORIZONTAL_LAYER, index: int = 1) -> Scalar:
     """Determinant by recursive layer expansion.
@@ -211,7 +229,7 @@ def det_laplace(A: CubicMatrix, axis: Axis = Axis.HORIZONTAL_LAYER, index: int =
     runs once, at import: this sums the signed monomials it reaches.
     """
     A._layer_cells(axis, index)  # validates the layer
-    return Scalar(_table_sum(A.order, _LAPLACE_FLAT[(A.order, axis, index)], A._ints), A._scale**A.order)
+    return Scalar(_LAPLACE[(A.order, axis, index)](A._ints), A._scale**A.order)
 
 
 def expand_all(A: CubicMatrix) -> list[ExpansionTrace]:

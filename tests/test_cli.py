@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -412,6 +413,22 @@ print("hashlib" in sys.modules)
 """
 
 
+# Prints, per kernel cache, the keys compiled so far: after the import,
+# then after one `det --method closed` of the file named in argv[1].
+KERNEL_PROBE = """
+import sys
+import cubicdet.cli
+from cubicdet import determinant, laplace
+def compiled():
+    modules = (determinant, laplace)
+    caches = {n: c for m in modules for n, c in vars(m).items() if isinstance(c, determinant._Kernels)}
+    print({name: sorted(cache) for name, cache in caches.items()})
+compiled()
+cubicdet.cli.main(["det", sys.argv[1], "--method", "closed"])
+compiled()
+"""
+
+
 class TestStartup:
     def test_cli_import_defers_costly_modules(self):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -424,3 +441,22 @@ class TestStartup:
         )
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout == "[]\nTrue\n"
+
+    def test_kernels_compile_on_first_use(self, e2_path):
+        # Compiling a kernel costs far more than running it: the import
+        # compiles none, and one command only the kernels it runs.
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", KERNEL_PROBE, e2_path],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        after_import, printed, after_det = done.stdout.splitlines()
+        caches = ast.literal_eval(after_import)
+        assert set(caches) == {"_CLOSED", "_PERM", "_LAPLACE", "_MINOR", "_MINORS"}
+        assert all(keys == [] for keys in caches.values())
+        assert printed == "326"
+        assert ast.literal_eval(after_det) == {**caches, "_CLOSED": [3]}

@@ -1,0 +1,86 @@
+"""Every compiled kernel against a plain loop over the table it was built from."""
+
+import re
+
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from cubicdet import determinant, laplace
+from cubicdet.core3d import _CELLS
+from cubicdet.determinant import _FLAT, _expression, _Kernels, _perm_flat
+from cubicdet.laplace import _LAPLACE_FLAT
+
+# Every kernel cache with every key it answers.
+KEYS = (
+    (determinant._CLOSED, (1, 2, 3)),
+    (determinant._PERM, (1, 2, 3)),
+    (laplace._LAPLACE, tuple(_LAPLACE_FLAT)),
+    (laplace._MINOR, tuple((n, f) for n in (2, 3) for f in range(n**3))),
+    (laplace._MINORS, (2, 3)),
+)
+
+
+def loop_sum(table, a):
+    """sum of sign * a[f1] * ... * a[fn] over (sign, f1, ..., fn) rows."""
+    total = 0
+    for sign, *cells in table:
+        term = sign
+        for f in cells:
+            term *= a[f]
+        total += term
+    return total
+
+
+def minors(n, a):
+    """Each flat cell's minor: the closed form of order n-1 over its kept cells."""
+    return [loop_sum(_FLAT[n - 1], [a[g] for g in kept]) for _, kept in _CELLS[n]]
+
+
+# Values at and just past the signed 64-bit bounds, and far past them,
+# as explicit examples beside the drawn ints (which reach past 64 bits
+# too): a st.one_of over them costs more to draw than the test runs.
+EDGES = (2**63, -(2**63), 2**63 - 1, -(2**63) - 1, 2**64 + 1, -(2**100), 3**50)
+cells = st.lists(st.integers(), min_size=27, max_size=27)
+# One (sign, cells) row of a table over 8 cells, with any small sign.
+row = st.tuples(st.integers(-4, 4), st.lists(st.integers(0, 7), min_size=1, max_size=3))
+
+
+def test_keys_cover_every_kernel_cache():
+    caches = [v for module in (determinant, laplace) for v in vars(module).values() if isinstance(v, _Kernels)]
+    assert sorted(map(id, caches)) == sorted(id(cache) for cache, _ in KEYS)
+    assert len(_LAPLACE_FLAT) == 18
+
+
+@example([EDGES[f % len(EDGES)] for f in range(27)])
+@example([(-1) ** f * 2**63 for f in range(27)])
+@given(cells)
+def test_every_kernel_is_its_table(ints):
+    for n in (1, 2, 3):
+        a = tuple(ints[: n**3])
+        assert determinant._CLOSED[n](a) == loop_sum(_FLAT[n], a), n
+        assert determinant._PERM[n](a) == loop_sum(_perm_flat(n), a), n
+    for key, rows in _LAPLACE_FLAT.items():
+        assert laplace._LAPLACE[key](ints[: key[0] ** 3]) == loop_sum(rows, ints), key
+    for n in (2, 3):
+        a = tuple(ints[: n**3])
+        want = minors(n, a)
+        assert [laplace._MINOR[(n, f)](a) for f in range(n**3)] == want, n
+        assert laplace._MINORS[n](a) == tuple(want), n
+
+
+@example([(2, [0, 1]), (-3, [2]), (0, [3, 4, 5])], list(EDGES) + [-1])
+@given(st.lists(row, min_size=1, max_size=6), st.lists(st.integers(), min_size=8, max_size=8))
+def test_any_sign_is_a_literal_coefficient(rows, ints):
+    # A sign other than +1 or -1, as a faulty table might hold, is kept:
+    # the kernel sums exactly what its table says.
+    table = tuple((sign, *fs) for sign, fs in rows)
+    assert _Kernels(lambda _: _expression(table))[None](ints) == loop_sum(table, ints)
+
+
+def test_kernel_sources_are_arithmetic_on_a():
+    # eval only ever sees products of a[<digits>] and int literals joined
+    # by + and -, and for _MINORS, a parenthesised tuple of such sums.
+    for cache, keys in KEYS:
+        for key in keys:
+            source = cache.source(key)
+            assert re.fullmatch(r"[-+*(),0-9]+", re.sub(r"a\[[0-9]+\]", "", source)), (key, source)

@@ -68,15 +68,15 @@ MUTANTS = (
     Mutant(
         "det-laplace-denominator",
         "src/cubicdet/laplace.py",
-        "_LAPLACE_FLAT[(A.order, axis, index)], A._ints), A._scale**A.order)",
-        "_LAPLACE_FLAT[(A.order, axis, index)], A._ints), A._scale ** (A.order - 1))",
+        "_LAPLACE[(A.order, axis, index)](A._ints), A._scale**A.order)",
+        "_LAPLACE[(A.order, axis, index)](A._ints), A._scale ** (A.order - 1))",
         ("tests/test_rational_reference.py::test_every_route_matches_the_reference",),
     ),
     Mutant(
         "totals-no-bound-check",
         "src/cubicdet/laplace.py",
-        "if not (_NUM_MIN <= minor_value <= _NUM_MAX and _NUM_MIN <= contribution <= _NUM_MAX):",
-        "if False:",
+        "if _NUM_MIN <= min(minors) and max(minors) <= _NUM_MAX and _NUM_MIN <= min(terms) and max(terms) <= _NUM_MAX:",
+        "if True:",
         (
             "tests/test_determinant.py::TestOverflowAgreement::test_unrepresentable_trace_values_raise",
             "tests/test_determinant.py::TestOverflowAgreement::test_a_contribution_of_2_63_raises",
@@ -111,6 +111,17 @@ MUTANTS = (
             "tests/test_determinant.py::TestPermTerms::test_matches_closed_form_tables",
             "tests/test_determinant.py::TestOracleAgreement::test_seeded_random",
             "tests/test_acceptance.py::test_criterion_4_term_table_identity",
+        ),
+    ),
+    Mutant(
+        "kernel-drops-a-minus",
+        "src/cubicdet/determinant.py",
+        'coefficients = {1: "+", -1: "-"}',
+        'coefficients = {1: "+", -1: "+"}',
+        (
+            "tests/test_kernels.py::test_every_kernel_is_its_table",
+            "tests/test_kernels.py::test_any_sign_is_a_literal_coefficient",
+            "tests/test_determinant.py::TestGoldenDeterminants::test_order3_example",
         ),
     ),
     Mutant(
