@@ -27,7 +27,9 @@ __all__ = ["main"]
 def _read_source(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
+    # Undecodable bytes pass through as lone surrogates, as they do on
+    # stdin, so the parser rejects them with a location.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         return handle.read()
 
 

@@ -11,10 +11,13 @@ Internally the entries live in one flat tuple in k-major order (k, then
 i, then j).  That layout is also the canonical serialization order used
 by the io module and the consumption order of the random generator.
 
-The layer geometry is derived here alone, in three tables: ``_CELLS``
-(each cell's address and the cells its minor keeps), ``_LAYER_FLAT``
-(each layer's cells in trace order) and ``_PATHS`` (the h, p, l order of
-the 3n expansions).  ``CubicMatrix._layer_cells`` checks every layer.
+``_flat`` is the one definition of that order.  The layer geometry is
+derived from it here alone, in three tables: ``_CELLS`` (the addresses
+sorted by ``_flat``, each with the cells its minor keeps: those that
+share no coordinate with it), ``_LAYER_FLAT`` (each layer's cells: those
+whose fixed coordinate equals the index) and ``_PATHS`` (the h, p, l
+order of the 3n expansions).  ``_nested`` turns flat cells back into
+nested layers.  ``CubicMatrix._layer_cells`` checks every layer.
 
 Every value here is immutable after construction and every operation
 is pure: methods return new objects and never change the value of their
@@ -220,48 +223,48 @@ def _index3(at) -> Index3:
 
 
 def _flat(order: int, i: int, j: int, k: int) -> int:
+    """The flat index of the entry at (i, j, k): k-major, then i, then j."""
     return (k - 1) * order * order + (i - 1) * order + (j - 1)
 
 
-def _layer_positions(order: int, axis: Axis, index: int) -> list[tuple[int, int, int]]:
-    """(i, j, k) triples of the fixed layer, in trace order."""
-    rng = range(1, order + 1)
-    if axis is Axis.HORIZONTAL_LAYER:
-        return [(index, j, k) for k in rng for j in rng]
-    if axis is Axis.VERTICAL_PAGE:
-        return [(i, index, k) for k in rng for i in rng]
-    return [(i, j, index) for i in rng for j in rng]
+def _cell_table(n: int) -> tuple:
+    """Per flat index of order n: the cell's address and the flat indices
+    its minor keeps.  Those are the cells that share no coordinate with
+    it; in flat order they are the minor's own flat order."""
+    ats = sorted(product(range(1, n + 1), repeat=3), key=lambda at: _flat(n, *at))
+    return tuple(
+        (Index3(i, j, k), tuple(g for g, (si, sj, sk) in enumerate(ats) if si != i and sj != j and sk != k))
+        for i, j, k in ats
+    )
 
 
-def _kept_cells(order: int, i: int, j: int, k: int) -> tuple[int, ...]:
-    """Flat indices of the entries left by deleting layer i, page j and
-    depth slice k, in the k-major order of the matrix they form."""
-    rest_i, rest_j, rest_k = ([x for x in range(1, order + 1) if x != fixed] for fixed in (i, j, k))
-    return tuple(_flat(order, si, sj, sk) for sk in rest_k for si in rest_i for sj in rest_j)
-
-
-# Axis iterates h, p, l; hot loops iterate this tuple, not the slower Enum.
+# Axis iterates h, p, l, the coordinate order i, j, k; hot loops iterate
+# this tuple, not the slower Enum.
 _AXES = tuple(Axis)
 
-# Per order, indexed by flat index (k, i, j ascending): the cell's
-# address and the flat indices its minor keeps.  Signs are the caller's.
-_CELLS = {
-    n: tuple((Index3(i, j, k), _kept_cells(n, i, j, k)) for k, i, j in product(range(1, n + 1), repeat=3))
-    for n in (1, 2, 3)
-}
+# Per order, indexed by flat index: (address, kept cells).  Signs are the caller's.
+_CELLS = {n: _cell_table(n) for n in (1, 2, 3)}
 
 # The 3n (axis, index) layer expansions of each order, in expand_all order.
 _PATHS = {order: tuple((axis, index) for axis in _AXES for index in range(1, order + 1)) for order in (1, 2, 3)}
 
-# Per (order, axis, index), orders ascending: a layer's flat indices in
-# trace order.  Layers a and b of one axis list their cells in the same
-# order of the two free coordinates, so zipping them pairs each cell
-# with its image under the swap.
+# Per (order, axis, index), orders ascending: a layer's flat indices, the
+# cells whose fixed coordinate equals index, in flat order (its trace
+# order).  Layers a and b of one axis list their cells in the same order
+# of the two free coordinates, so zipping them pairs each cell with its
+# image under the swap.
 _LAYER_FLAT = {
-    (n, axis, index): tuple(_flat(n, *at) for at in _layer_positions(n, axis, index))
+    (n, axis, index): tuple(f for f, (at, _) in enumerate(_CELLS[n]) if at[_AXES.index(axis)] == index)
     for n, paths in _PATHS.items()
     for axis, index in paths
 }
+
+
+def _nested(n: int, cells: list) -> list:
+    """An order-n matrix's cells, given in flat order, as nested lists
+    indexed [k-1][i-1][j-1]."""
+    rows = [cells[f : f + n] for f in range(0, n**3, n)]
+    return [rows[r : r + n] for r in range(0, n * n, n)]
 
 
 class CubicMatrix:
@@ -345,12 +348,6 @@ class CubicMatrix:
         m._cell_memo = None
         return m
 
-    @classmethod
-    def zeros(cls, order: int) -> "CubicMatrix":
-        if order not in (1, 2, 3):
-            raise ShapeError(f"order must be 1, 2, or 3, got {order!r}")
-        return cls._reduced(order, 1, (0,) * order**3)
-
     def _entry_flat(self, at) -> int:
         """The flat index of the entry address ``at`` (see _index3)."""
         at = _index3(at)
@@ -372,10 +369,7 @@ class CubicMatrix:
 
     def layers(self) -> list[list[list[Scalar]]]:
         """Entries as nested lists indexed [k-1][i-1][j-1]."""
-        n = self.order
-        cells = [Scalar(v, self._scale) for v in self._ints]
-        rows = [cells[f : f + n] for f in range(0, n**3, n)]
-        return [rows[k : k + n] for k in range(0, n * n, n)]
+        return _nested(self.order, [Scalar(v, self._scale) for v in self._ints])
 
     def scale(self, c) -> "CubicMatrix":
         """Entrywise scalar multiple."""

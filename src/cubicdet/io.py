@@ -39,6 +39,7 @@ from .core3d import (
     CubicMatrix,
     Scalar,
     ScalarOverflowError,
+    _nested,
 )
 
 __all__ = ["ParseError", "parse_text", "serialize_text", "parse_json", "serialize_json"]
@@ -242,8 +243,5 @@ def _json_scalar(value: Scalar):
 def serialize_json(A: CubicMatrix) -> str:
     """Canonical JSON form: {"order": n, "layers": [...]} on one line,
     integer entries as JSON integers, others as "p/q" strings."""
-    n = A.order
     cells = [num if den == 1 else f"{num}/{den}" for num, den in _reduced_cells(A)]
-    rows = [cells[f : f + n] for f in range(0, n**3, n)]
-    layers = [rows[r : r + n] for r in range(0, n * n, n)]
-    return json.dumps({"order": n, "layers": layers})
+    return json.dumps({"order": A.order, "layers": _nested(A.order, cells)})

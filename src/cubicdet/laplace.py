@@ -15,12 +15,9 @@ Cofactors come in two conventions, selected by :class:`SignConvention`:
   determinant, so this convention is exposed for cofactor values only
   and never drives a determinant.
 
-Term order inside a trace follows the reading order of a fixed layer
-when the vertical layers are displayed side by side: fixed i or fixed j
-enumerates the free pair with k outermost; fixed k enumerates row-major
-(i outermost, j innermost).  core3d answers every address question
-(which cells a layer holds and a minor keeps, whether a layer is valid);
-this module only signs and sums.
+A trace lists its layer's cells in flat order (k, then i, then j).
+core3d answers every address question (which cells a layer holds and a
+minor keeps, whether a layer is valid); this module only signs and sums.
 
 The sums run as determinant's kernels, each compiled on its first use:
 ``_LAPLACE`` per (order, axis, index) from det_laplace's unrolled

@@ -198,6 +198,13 @@ class TestVerify:
         assert "failures: 0" in lines
         assert lines[-1] == "PASS"
 
+    def test_random_defaults(self, capsys):
+        code, out, err = run_cli(capsys, ["verify", "--random"])
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[:2] == ["orders=2,3 trials=100 seed=0 range=9", "trials run: 200"]
+        assert lines[-1] == "PASS"
+
     def test_random_failure_prints_repro(self, capsys, monkeypatch):
         def broken(m):
             real = cross_check(m)
@@ -278,6 +285,11 @@ class TestGen:
         code, out, err = run_cli(capsys, ["gen", "--order", "3", "--seed", "42", "--range", "9"])
         assert (code, out, err) == (0, frozen, "")
 
+    def test_defaults(self, capsys):
+        explicit = run_cli(capsys, ["gen", "--order", "2", "--seed", "0", "--range", "9"])
+        assert explicit[0] == 0
+        assert run_cli(capsys, ["gen", "--order", "2"]) == explicit
+
     def test_output_feeds_back_in(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, ["gen", "--order", "2", "--seed", "9"])
         assert code == 0
@@ -313,6 +325,26 @@ class TestErrorHandling:
         code, _, err = run_cli(capsys, ["det", str(path)])
         assert code == 2
         assert "higher than the third order" in err
+
+    def test_undecodable_bytes_are_located(self, tmp_path):
+        # A byte that is not UTF-8 fails as a bad literal with its location,
+        # read from a file as from stdin (which decodes with surrogateescape
+        # in UTF-8 mode).
+        data = b"2\n4 -3\n-1 5\n\n-2 4\n7 \xe9\n"
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(data)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUTF8": "1"}
+        error = b"error: line 6: vertical layer 2 row 2 column 2: bad scalar '\\udce9' (expected an integer or p/q)\n"
+        for source, stdin in ((str(path), b""), ("-", data)):
+            done = subprocess.run(
+                [sys.executable, "-m", "cubicdet", "det", source],
+                input=stdin,
+                env=env,
+                capture_output=True,
+                timeout=60,
+            )
+            assert (done.returncode, done.stdout, done.stderr) == (2, b"", error), source
 
     def test_missing_file(self, capsys):
         code, out, err = run_cli(capsys, ["det", "/nonexistent/matrix.txt"])

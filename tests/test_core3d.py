@@ -18,6 +18,7 @@ from cubicdet import (
     TraceTerm,
     VerifyReport,
 )
+from cubicdet.core3d import _CELLS, _LAYER_FLAT, _PATHS
 
 NUM_MAX = 2**63 - 1
 NUM_MIN = -(2**63)
@@ -78,6 +79,8 @@ class TestScalar:
             Scalar(1, NUM_MAX) * Scalar(1, 3)  # denominator blows past 64 bits
         with pytest.raises(ScalarOverflowError):
             -Scalar(NUM_MIN)
+        with pytest.raises(ScalarOverflowError, match=r"^denominator 18446744073709551616 outside"):
+            Scalar(1, DEN_MAX + 1)
         # Boundary values themselves are fine.
         assert (Scalar(NUM_MIN) + ONE).num == NUM_MIN + 1
         assert Scalar(1, DEN_MAX).den == DEN_MAX
@@ -168,6 +171,11 @@ class TestConstruction:
         m = CubicMatrix(1, [[[7]]])
         assert m.get(Index3(1, 1, 1)) == Scalar(7)
 
+    def test_order_must_be_a_positive_integer(self):
+        for order in (0, True, 2.0):
+            with pytest.raises(ShapeError, match=rf"^order must be a positive integer, got {order!r}$"):
+                CubicMatrix(order, [])
+
     def test_wrong_block_count(self):
         with pytest.raises(ShapeError, match="not square"):
             CubicMatrix(2, [[[1, 2], [3, 4]]])
@@ -175,6 +183,10 @@ class TestConstruction:
     def test_ragged_block_named(self):
         with pytest.raises(ShapeError, match="vertical layer 2 row 2"):
             CubicMatrix(2, [[[1, 2], [3, 4]], [[5, 6], [7]]])
+        with pytest.raises(ShapeError, match=r"^vertical layer 2 has 1 rows, expected 2: A is not square"):
+            CubicMatrix(2, [[[1, 2], [3, 4]], [[5, 6]]])
+        with pytest.raises(ShapeError, match=r"^vertical layer 1 has 3 rows, expected 2: A is not square"):
+            CubicMatrix(2, [[[1, 2], [3, 4], [5, 6]], [[7, 8], [9, 0]]])
 
     def test_non_cubic_rejected(self):
         # 2x2x3: three blocks for a declared order of 2.
@@ -186,8 +198,10 @@ class TestConstruction:
             CubicMatrix(4, [[[0] * 4] * 4] * 4)
 
     def test_entry_types(self):
-        with pytest.raises(TypeError):
-            CubicMatrix(1, [[[0.5]]])
+        # bool is an int subclass, but not an entry.
+        for value in (True, 1.5):
+            with pytest.raises(TypeError, match=rf"^matrix entries must be Scalar or int, got {value!r}$"):
+                CubicMatrix(1, [[[value]]])
 
     def test_get_out_of_range(self, example1):
         with pytest.raises(IndexError, match=r"\(1,3,1\)"):
@@ -292,7 +306,7 @@ class TestValueSemantics:
         twin = CubicMatrix(2, [[[4, -3], [-1, 5]], [[-2, 4], [-7, 3]]])
         assert example1 == twin
         assert hash(example1) == hash(twin)
-        assert example1 != CubicMatrix.zeros(2)
+        assert example1 != CubicMatrix(2, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]])
 
     def test_operations_leave_input_alone(self, example2):
         before = example2.layers()
@@ -300,6 +314,11 @@ class TestValueSemantics:
         example2.scale_layer(Axis.VERTICAL_LAYER, 1, 0)
         example2.delete_sub(Index3(2, 2, 2))
         assert example2.layers() == before
+
+    def test_repr(self, example1):
+        assert repr(example1) == "<CubicMatrix order=2: 4 -3 | -2 4; -1 5 | -7 3>"
+        half = example1.scale_layer(Axis.VERTICAL_LAYER, 2, Scalar(1, 2))
+        assert repr(half) == "<CubicMatrix order=2: 4 -3 | -1 2; -1 5 | -7/2 3/2>"
 
     def test_entries_stay_canonical(self):
         m = CubicMatrix(1, [[[Scalar(2, 4)]]]).scale(Scalar(2, 6))
@@ -312,3 +331,32 @@ def test_docstring_examples_run():
     from cubicdet import core3d
 
     assert doctest.testmod(core3d) == (0, 8)
+
+
+def test_geometry_tables_follow_the_coordinate_definitions():
+    # Rebuilt from the coordinates alone: cells k-major, then i, then j;
+    # a minor keeps the remaining layers in that order; a layer fixes one
+    # coordinate and reads the other two in the cell order.
+    H, P, L = Axis.HORIZONTAL_LAYER, Axis.VERTICAL_PAGE, Axis.VERTICAL_LAYER
+    layer_keys = []
+    for n in (1, 2, 3):
+        rng = range(1, n + 1)
+        cells = [(i, j, k) for k in rng for i in rng for j in rng]
+        flat = {at: f for f, at in enumerate(cells)}
+        kept = []
+        for i, j, k in cells:
+            rest_i, rest_j, rest_k = ([x for x in rng if x != fixed] for fixed in (i, j, k))
+            kept.append(tuple(flat[si, sj, sk] for sk in rest_k for si in rest_i for sj in rest_j))
+        assert _CELLS[n] == tuple(zip(cells, kept)), n
+        assert all(type(at) is Index3 for at, _ in _CELLS[n])
+        assert _PATHS[n] == tuple((axis, index) for axis in (H, P, L) for index in rng)
+        for index in rng:
+            layers = {
+                H: [(index, j, k) for k in rng for j in rng],
+                P: [(i, index, k) for k in rng for i in rng],
+                L: [(i, j, index) for i in rng for j in rng],
+            }
+            for axis, positions in layers.items():
+                assert _LAYER_FLAT[(n, axis, index)] == tuple(flat[at] for at in positions)
+        layer_keys += [(n, axis, index) for axis in (H, P, L) for index in rng]
+    assert list(_LAYER_FLAT) == layer_keys

@@ -36,7 +36,7 @@ class TestGoldenDeterminants:
         assert det_permutation(CubicMatrix(1, [[[-5]]])) == Scalar(-5)
 
     def test_diagonal_monomial(self):
-        m = CubicMatrix.zeros(3)
+        m = CubicMatrix(3, [[[0] * 3 for _ in range(3)] for _ in range(3)])
         layers = m.layers()
         for d in (1, 2, 3):
             layers[d - 1][d - 1][d - 1] = Scalar(1)
@@ -45,7 +45,8 @@ class TestGoldenDeterminants:
 
     def test_all_zero(self):
         for order in (1, 2, 3):
-            assert det_closed(CubicMatrix.zeros(order)) == ZERO
+            zeros = [[[0] * order for _ in range(order)] for _ in range(order)]
+            assert det_closed(CubicMatrix(order, zeros)) == ZERO
 
     def test_rational_entries(self):
         m = CubicMatrix(2, [[[Scalar(1, 2), 0], [0, 1]], [[0, 0], [0, Scalar(2, 3)]]])

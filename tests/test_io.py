@@ -91,7 +91,7 @@ class TestTextFormat:
         ):
             parse_text("2\n4 -3\n")
         # A blank line inside a block reads as a truncated layer.
-        with pytest.raises(ParseError, match="vertical layer 1 is missing row 2"):
+        with pytest.raises(ParseError, match="^line 3: vertical layer 1 is missing row 2"):
             parse_text("2\n4 -3\n\n-1 5\n\n-2 4\n-7 3\n")
 
     def test_wrong_entry_count(self):
@@ -105,6 +105,9 @@ class TestTextFormat:
     def test_extra_content(self):
         with pytest.raises(ParseError, match="found more content.*not square"):
             parse_text(EXAMPLE1_TEXT + "\n9 9\n8 8\n")
+        # One blank line, then one row: the row is line 8.
+        with pytest.raises(ParseError, match="^line 8: expected 2 vertical layers but found more content"):
+            parse_text(EXAMPLE1_TEXT + "\n9 9\n")
 
     def test_bad_literals(self):
         with pytest.raises(

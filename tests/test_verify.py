@@ -69,6 +69,7 @@ class TestRandomCubic:
             GenSpec(2, -1, 9)
         with pytest.raises(ValueError, match="seed"):
             GenSpec(2, 1 << 64, 9)
+        assert GenSpec(2, (1 << 64) - 1, 9).seed == (1 << 64) - 1
         with pytest.raises(ValueError, match="range"):
             GenSpec(2, 0, 0)
         spec = GenSpec(order=3, seed=42, range=9)
@@ -219,6 +220,9 @@ class TestBatchVerify:
     def test_single_trial(self):
         summary = batch_verify((2,), trials=1, seed=0, range=9)
         assert summary.trials == 1
+        # The largest 64-bit master seed is a seed.
+        summary = batch_verify((2,), trials=1, seed=(1 << 64) - 1, range=9)
+        assert (summary.trials, summary.failures) == (1, 0)
 
     def test_first_failure_is_the_first_trial_spec(self, monkeypatch):
         import cubicdet.verify as verify_mod

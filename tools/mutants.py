@@ -146,21 +146,23 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "kept-cells-i-major",
+        "kept-cells-share-a-depth",
         "src/cubicdet/core3d.py",
-        "for sk in rest_k for si in rest_i for sj in rest_j",
-        "for si in rest_i for sk in rest_k for sj in rest_j",
+        "if si != i and sj != j and sk != k)",
+        "if si != i and sj != j)",
         (
+            "tests/test_core3d.py::test_geometry_tables_follow_the_coordinate_definitions",
             "tests/test_core3d.py::TestDeleteSub::test_golden_minor_submatrices",
             "tests/test_laplace.py::TestMinor::test_golden_minors",
         ),
     ),
     Mutant(
-        "vertical-layer-trace-j-major",
+        "layer-reads-the-wrong-coordinate",
         "src/cubicdet/core3d.py",
-        "return [(i, j, index) for i in rng for j in rng]",
-        "return [(i, j, index) for j in rng for i in rng]",
+        "if at[_AXES.index(axis)] == index)",
+        "if at[2 - _AXES.index(axis)] == index)",
         (
+            "tests/test_core3d.py::test_geometry_tables_follow_the_coordinate_definitions",
             "tests/test_laplace.py::TestExpand::test_trace_order_per_axis",
             "tests/test_rational_reference.py::test_transforms_match_the_reference_up_to_the_bounds",
         ),
@@ -209,6 +211,104 @@ MUTANTS = (
         "not isinstance(x, int) for x in (i, j, k)",
         "not isinstance(x, (int, float)) for x in (i, j, k)",
         ("tests/test_core3d.py::TestIndex3::test_one_based",),
+    ),
+    Mutant(
+        "den-max-admits-2-64",
+        "src/cubicdet/core3d.py",
+        "_DEN_MAX = 2**64 - 1",
+        "_DEN_MAX = 2**64 + 1",
+        ("tests/test_core3d.py::TestScalar::test_overflow_reported_not_wrapped",),
+    ),
+    Mutant(
+        "entry-check-or",
+        "src/cubicdet/core3d.py",
+        "if isinstance(value, int) and not isinstance(value, bool):",
+        "if isinstance(value, int) or not isinstance(value, bool):",
+        ("tests/test_core3d.py::TestConstruction::test_entry_types",),
+    ),
+    Mutant(
+        "order-check-and",
+        "src/cubicdet/core3d.py",
+        "if not isinstance(order, int) or isinstance(order, bool) or order < 1:",
+        "if not isinstance(order, int) and isinstance(order, bool) and order < 1:",
+        ("tests/test_core3d.py::TestConstruction::test_order_must_be_a_positive_integer",),
+    ),
+    Mutant(
+        "row-count-check-misses-short-blocks",
+        "src/cubicdet/core3d.py",
+        "if len(rows) != order:",
+        "if len(rows) > order:",
+        ("tests/test_core3d.py::TestConstruction::test_ragged_block_named",),
+    ),
+    Mutant(
+        "repr-lists-layers-right-to-left",
+        "src/cubicdet/core3d.py",
+        "for block in layers)",
+        "for block in layers[::-1])",
+        ("tests/test_core3d.py::TestValueSemantics::test_repr",),
+    ),
+    Mutant(
+        "gen-spec-rejects-the-top-seed",
+        "src/cubicdet/verify.py",
+        "        if not 0 <= seed <= SplitMix64._MASK:",
+        "        if not 0 <= seed < SplitMix64._MASK:",
+        ("tests/test_verify.py::TestRandomCubic::test_spec_validation",),
+    ),
+    Mutant(
+        "batch-rejects-the-top-seed",
+        "src/cubicdet/verify.py",
+        "    if not 0 <= seed <= SplitMix64._MASK:\n        raise",
+        "    if not 0 <= seed < SplitMix64._MASK:\n        raise",
+        ("tests/test_verify.py::TestBatchVerify::test_single_trial",),
+    ),
+    Mutant(
+        "trailing-blank-lines-step-by-2",
+        "src/cubicdet/io.py",
+        "        pos += 1\n    if pos < len(rows):",
+        "        pos += 2\n    if pos < len(rows):",
+        ("tests/test_io.py::TestTextFormat::test_extra_content",),
+    ),
+    Mutant(
+        "more-content-line-number",
+        "src/cubicdet/io.py",
+        'f"line {rows[pos][0]}: expected {order} vertical layers',
+        'f"line {rows[pos][1]}: expected {order} vertical layers',
+        ("tests/test_io.py::TestTextFormat::test_extra_content",),
+    ),
+    Mutant(
+        "missing-row-line-number",
+        "src/cubicdet/io.py",
+        'where = f"line {rows[pos][0]}" if pos < len(rows)',
+        'where = f"line {rows[pos][1]}" if pos < len(rows)',
+        ("tests/test_io.py::TestTextFormat::test_missing_row",),
+    ),
+    Mutant(
+        "verify-default-trials",
+        "src/cubicdet/cli.py",
+        "trials = 100 if args.trials is None",
+        "trials = 101 if args.trials is None",
+        ("tests/test_cli.py::TestVerify::test_random_defaults",),
+    ),
+    Mutant(
+        "verify-default-seed",
+        "src/cubicdet/cli.py",
+        "seed = 0 if args.seed is None",
+        "seed = 1 if args.seed is None",
+        ("tests/test_cli.py::TestVerify::test_random_defaults",),
+    ),
+    Mutant(
+        "gen-default-seed",
+        "src/cubicdet/cli.py",
+        'default=0, help="generator seed',
+        'default=1, help="generator seed',
+        ("tests/test_cli.py::TestGen::test_defaults",),
+    ),
+    Mutant(
+        "gen-default-range",
+        "src/cubicdet/cli.py",
+        'p_gen.add_argument("--range", type=_integer, default=9,',
+        'p_gen.add_argument("--range", type=_integer, default=10,',
+        ("tests/test_cli.py::TestGen::test_defaults",),
     ),
 )
 
