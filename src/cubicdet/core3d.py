@@ -24,8 +24,10 @@ is pure: methods return new objects and never change the value of their
 inputs, so values can be shared freely between threads or tasks.  The
 one private mutable slot is a matrix's per-cell memo (``_cell_memo``),
 which the laplace module fills on first read, one cell at a time, with
-values that depend on the matrix value alone; filling a cell twice
-stores the same value.
+the cell's entry and minor, which depend on the matrix value alone, and
+the cell's last trace term, which expand reuses only while the sign it
+reads at call time is the term's; so a value read from the memo is the
+value a fresh, equal matrix would give.
 """
 
 from __future__ import annotations

@@ -14,8 +14,11 @@ Kernels
 -------
 Every table of (sign, f1, ..., fn) rows over flat cells is evaluated by
 a kernel: the table written out as one straight-line expression
-``+a[f1]*a[f2]*a[f3]-a[...]...`` over the matrix's ``_ints`` and
-compiled with ``eval`` into a function of ``a``.  A sign other than +1
+``+a1*a5*a9-a2*...`` over local names, one per flat cell, and compiled
+with ``exec`` into a function of ``a``, the matrix's ``_ints``, that
+binds the names by one tuple unpack (``a0, a1, ..., aM, = a[:M+1]``,
+aM the highest cell named, so ``a`` may run past it): Python compiles
+plain names faster than ``a[f]`` subscripts.  A sign other than +1
 or -1 is written as a literal coefficient, so the kernel computes
 exactly its table, whatever the table says.  Compiling costs far more
 than one evaluation, so a :class:`_Kernels` cache compiles each kernel
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import namedtuple
 from functools import lru_cache
 
@@ -143,19 +147,20 @@ class SignedTerm(namedtuple("SignedTerm", "sign positions value")):
 
 def _expression(table) -> str:
     """The sum of sign * a[f1] * ... * a[fn] over a (sign, f1, ..., fn)
-    table, written out as one Python expression in ``a``."""
+    table, written out as one Python expression in the names ``a<f>``."""
     coefficients = {1: "+", -1: "-"}
     return "".join(
-        coefficients.get(sign, f"{sign:+d}*") + "*".join([f"a[{f}]" for f in cells]) for sign, *cells in table
+        coefficients.get(sign, f"{sign:+d}*") + "*".join([f"a{f}" for f in cells]) for sign, *cells in table
     )
 
 
 class _Kernels(dict):
     """Compiled kernels by key, each compiled on its first use.
 
-    ``source(key)`` gives the kernel's expression in ``a``, built only
-    from the package's own tables; the kernel is that expression as a
-    function of ``a``, with no builtins in reach.
+    ``source(key)`` gives the kernel's expression in the names ``a<f>``,
+    built only from the package's own tables; the kernel is that
+    expression as a function of ``a``, which binds ``a<f>`` to ``a[f]``,
+    with no builtins in reach.
     """
 
     def __init__(self, source):
@@ -163,7 +168,12 @@ class _Kernels(dict):
         self.source = source
 
     def __missing__(self, key):
-        kernel = self[key] = eval("lambda a: " + self.source(key), {"__builtins__": {}})
+        source = self.source(key)
+        size = 1 + max(map(int, re.findall(r"a([0-9]+)", source)))
+        names = "".join(f"a{f}," for f in range(size))
+        namespace = {"__builtins__": {}}
+        exec(f"def kernel(a):\n    {names} = a[:{size}]\n    return {source}", namespace)
+        kernel = self[key] = namespace["kernel"]
         return kernel
 
 

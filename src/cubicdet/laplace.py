@@ -29,6 +29,13 @@ closed-form or permutation tables, so det_laplace stays independent of
 the other two routes.  The minor kernels hold no expansion sign:
 expand and the cross-check's totals multiply by sign_expansion per
 entry, at call time, so a patched sign shows in the next call.
+
+An entry's term sign * entry * minor is the same in the three
+expansions through it, so expand keeps each term it builds in the
+matrix's per-cell memo (see _cell), beside the entry and its minor:
+the 3n expansions of a matrix build its n**3 terms once each, not
+three times.  A kept term is reused only while the sign read at call
+time is the term's sign.
 """
 
 from __future__ import annotations
@@ -96,13 +103,16 @@ _MINOR = _Kernels(lambda key: _expression(_minor_rows(*key)))
 _MINORS = _Kernels(lambda order: "(" + ",".join(_MINOR.source((order, f)) for f in range(order**3)) + ",)")
 
 
-def _cell(A: CubicMatrix, f: int) -> tuple:
-    """(entry, minor, minor int) of A's flat cell f: the entry and its
-    minor as Scalars, and the minor as _MINOR's kernel gives it.
+def _cell(A: CubicMatrix, f: int) -> list:
+    """[entry, minor, minor int, term] of A's flat cell f: the entry and
+    its minor as Scalars, the minor as _MINOR's kernel gives it, and the
+    TraceTerm that expand last built for f (None until it builds one).
 
     The minor belongs to the entry, so it is computed once per matrix,
     on first request, and kept in A._cell_memo; a cell whose minor
-    leaves 64 bits is not kept, and raises again.
+    leaves 64 bits is not kept, and raises again.  The term is the same
+    in the three expansions through f, so expand keeps it here too and
+    reuses it while the sign it reads at call time is the term's sign.
     """
     memo = A._cell_memo
     if memo is None:
@@ -110,7 +120,8 @@ def _cell(A: CubicMatrix, f: int) -> tuple:
     cell = memo[f]
     if cell is None:
         minor_value = _MINOR[(A.order, f)](A._ints)
-        cell = memo[f] = (Scalar(A._ints[f], A._scale), Scalar(minor_value, A._scale ** (A.order - 1)), minor_value)
+        entry = Scalar(A._ints[f], A._scale)
+        cell = memo[f] = [entry, Scalar(minor_value, A._scale ** (A.order - 1)), minor_value, None]
     return cell
 
 
@@ -140,8 +151,10 @@ def expand(A: CubicMatrix, axis: Axis, index: int) -> ExpansionTrace:
     """One layer expansion with a full per-term trace.
 
     Every term records sign * entry * minor; the total equals the
-    determinant of A.  Entries and minors come from A's per-cell memo
-    (see _cell); the sign is read per term, at call time.
+    determinant of A.  The sign is read per term, at call time.  Each
+    term comes from A's per-cell memo (see _cell) when the memo holds
+    one with that sign, and is built, and kept there, when it does not;
+    a term whose contribution leaves 64 bits raises and is never kept.
     """
     n = A.order
     if n == 1:
@@ -153,11 +166,14 @@ def expand(A: CubicMatrix, axis: Axis, index: int) -> ExpansionTrace:
     total = 0
     for f in cells:
         at = _CELLS[n][f][0]
-        entry, minor_value, minor_int = _cell(A, f)
+        cell = _cell(A, f)
+        entry, minor_value, minor_int, term = cell
         sign = sign_expansion(at)
         contribution = sign * ints[f] * minor_int
         total += contribution
-        terms.append(TraceTerm(at, entry, sign, minor_value, Scalar(contribution, den)))
+        if term is None or term.sign != sign:
+            term = cell[3] = TraceTerm(at, entry, sign, minor_value, Scalar(contribution, den))
+        terms.append(term)
     return ExpansionTrace(axis, index, tuple(terms), Scalar(total, den))
 
 

@@ -383,6 +383,42 @@ def test_expand_reads_the_sign_at_call_time(example2, monkeypatch):
     assert cofactor(example2, Index3(1, 2, 3)) == minor(example2, Index3(1, 2, 3)) == Scalar(1)
 
 
+def test_an_overflowing_term_is_never_kept():
+    # Every entry 2**40: each contribution is 2**80, past the bounds, and
+    # each minor 2**40, inside them.  No term is kept, so every expansion
+    # raises as on a fresh matrix, on a repeat call and after the other
+    # layers were expanded, while the minors stay readable.
+    def big():
+        return CubicMatrix(2, [[[2**40] * 2] * 2] * 2)
+
+    paths = [(axis, index) for axis in Axis for index in (1, 2)]
+    want = {path: _outcome(expand, big(), *path) for path in paths}
+    assert all(isinstance(message, str) for message in want.values())
+    shared = big()
+    for path in paths + paths[::-1]:
+        assert _outcome(expand, shared, *path) == want[path], path
+    assert cofactor(shared, Index3(1, 1, 1)) == Scalar(2**40)
+    assert cofactor(shared, Index3(1, 1, 2)) == Scalar(-(2**40))
+
+
+@given(edge_cubics())
+def test_repeated_expansions_answer_as_a_fresh_matrix(A):
+    # expand keeps each cell's term in the memo and reuses it in the
+    # other expansions through the cell and on a repeat call: run twice
+    # on one matrix, every expansion answers, or raises, exactly as the
+    # same expansion of a fresh equal matrix.
+    n = A.order
+    paths = [(axis, index) for axis in Axis for index in range(1, n + 1)]
+
+    def copy():  # an equal matrix with an empty memo
+        return CubicMatrix._reduced(n, A._scale, A._ints)
+
+    fresh = {path: _outcome(expand, copy(), *path) for path in paths}
+    shared = copy()
+    for path in paths + paths:
+        assert _outcome(expand, shared, *path) == fresh[path], path
+
+
 def test_memo_leaves_equality_and_hash(example2):
     fresh = CubicMatrix(3, example2.layers())
     expand_all(example2)

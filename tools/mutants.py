@@ -66,6 +66,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "term-memo-ignores-the-sign",
+        "src/cubicdet/laplace.py",
+        "if term is None or term.sign != sign:",
+        "if term is None:",
+        ("tests/test_laplace.py::test_expand_reads_the_sign_at_call_time",),
+    ),
+    Mutant(
         "det-laplace-denominator",
         "src/cubicdet/laplace.py",
         "_LAPLACE[(A.order, axis, index)](A._ints), A._scale**A.order)",
