@@ -183,7 +183,11 @@ def _cmd_gen(args, parser) -> int:
         spec = GenSpec(args.order, args.seed, args.range)
     except ValueError as err:
         parser.error(str(err))
-    sys.stdout.write(serialize_text(random_cubic(spec)))
+    try:
+        matrix = random_cubic(spec)
+    except ScalarOverflowError as err:  # named by its reproducer, as verify --random names one
+        raise ScalarOverflowError(f"--order {spec.order} --seed {spec.seed} --range {spec.range}: {err}") from err
+    sys.stdout.write(serialize_text(matrix))
     return 0
 
 

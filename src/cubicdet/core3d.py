@@ -23,11 +23,11 @@ Every value here is immutable after construction and every operation
 is pure: methods return new objects and never change the value of their
 inputs, so values can be shared freely between threads or tasks.  The
 one private mutable slot is a matrix's per-cell memo (``_cell_memo``),
-which the laplace module fills on first read, one cell at a time, with
-the cell's entry and minor, which depend on the matrix value alone, and
-the cell's last trace term, which expand reuses only while the sign it
-reads at call time is the term's; so a value read from the memo is the
-value a fresh, equal matrix would give.
+which the laplace module fills on first read, in one call, with every
+cell's minor, which depends on the matrix value alone, and a slot per
+cell for its last trace term, which expand reuses only while the sign
+it reads at call time is the term's; so a value read from the memo is
+the value a fresh, equal matrix would give.
 """
 
 from __future__ import annotations

@@ -21,21 +21,20 @@ minor keeps, whether a layer is valid); this module only signs and sums.
 
 The sums run as determinant's kernels, each compiled on its first use:
 ``_LAPLACE`` per (order, axis, index) from det_laplace's unrolled
-recursion, ``_MINOR`` per (order, cell) and ``_MINORS`` per order (all
-n**3 minors in one call) from ``_minor_rows``, the closed form of order
-n-1 read through each cell's kept cells.  The recursion table is built
-from the layer geometry and sign_expansion alone, never from the
-closed-form or permutation tables, so det_laplace stays independent of
-the other two routes.  The minor kernels hold no expansion sign:
-expand and the cross-check's totals multiply by sign_expansion per
-entry, at call time, so a patched sign shows in the next call.
+recursion, and ``_MINORS`` per order (all n**3 minors in one call) from
+``_minor_rows``, the closed form of order n-1 read through each cell's
+kept cells.  The recursion table is built from the layer geometry and
+sign_expansion alone, never from the closed-form or permutation tables,
+so det_laplace stays independent of the other two routes.  The minor
+kernel holds no expansion sign: expand and the cross-check's totals
+multiply by sign_expansion per entry, at call time, so a patched sign
+shows in the next call.
 
-An entry's term sign * entry * minor is the same in the three
-expansions through it, so expand keeps each term it builds in the
-matrix's per-cell memo (see _cell), beside the entry and its minor:
-the 3n expansions of a matrix build its n**3 terms once each, not
-three times.  A kept term is reused only while the sign read at call
-time is the term's sign.
+One _MINORS call fills a matrix's per-cell memo (see _memo), which
+expand, cofactor and the cross-check's totals read.  An entry's term
+sign * entry * minor is the same in the three expansions through it, so
+expand keeps each term there too, reused only while the sign read at
+call time is the term's sign: the 3n expansions build n**3 terms.
 """
 
 from __future__ import annotations
@@ -94,35 +93,20 @@ def _minor_rows(order: int, f: int) -> tuple:
     return tuple((sign, *[kept[g] for g in cells]) for sign, *cells in _FLAT[order - 1])
 
 
-# Per (order, flat cell), that cell's minor as a kernel over A._ints:
-# an int over A._scale**(n-1).
-_MINOR = _Kernels(lambda key: _expression(_minor_rows(*key)))
-
-# Per order, every cell's _MINOR expression in flat order, as one kernel
-# that returns them as a tuple.
-_MINORS = _Kernels(lambda order: "(" + ",".join(_MINOR.source((order, f)) for f in range(order**3)) + ",)")
+# Per order, every flat cell's minor in flat order, as one kernel over
+# A._ints that returns them as a tuple of ints over A._scale**(n-1).
+_MINORS = _Kernels(lambda order: "(" + ",".join(_expression(_minor_rows(order, f)) for f in range(order**3)) + ",)")
 
 
-def _cell(A: CubicMatrix, f: int) -> list:
-    """[entry, minor, minor int, term] of A's flat cell f: the entry and
-    its minor as Scalars, the minor as _MINOR's kernel gives it, and the
-    TraceTerm that expand last built for f (None until it builds one).
-
-    The minor belongs to the entry, so it is computed once per matrix,
-    on first request, and kept in A._cell_memo; a cell whose minor
-    leaves 64 bits is not kept, and raises again.  The term is the same
-    in the three expansions through f, so expand keeps it here too and
-    reuses it while the sign it reads at call time is the term's sign.
-    """
+def _memo(A: CubicMatrix) -> tuple:
+    """A's per-cell memo (minors, terms), filled on first request: the
+    n**3 minors from one _MINORS call, as ints, which never overflow (a
+    Scalar is built only where a value is reported), and per flat cell
+    the TraceTerm that expand last built for it, or None."""
     memo = A._cell_memo
     if memo is None:
-        memo = A._cell_memo = [None] * len(A._ints)
-    cell = memo[f]
-    if cell is None:
-        minor_value = _MINOR[(A.order, f)](A._ints)
-        entry = Scalar(A._ints[f], A._scale)
-        cell = memo[f] = [entry, Scalar(minor_value, A._scale ** (A.order - 1)), minor_value, None]
-    return cell
+        memo = A._cell_memo = (_MINORS[A.order](A._ints), [None] * len(A._ints))
+    return memo
 
 
 def minor(A: CubicMatrix, at: Index3) -> Scalar:
@@ -132,16 +116,16 @@ def minor(A: CubicMatrix, at: Index3) -> Scalar:
     that expand and cofactor share: the benchmark's traced reference pass
     (bench/run.py) reaches CubicMatrix.delete_sub only through this
     function and fails when nothing calls it.  Once that pass calls
-    delete_sub itself, this should read _cell too (ROADMAP item 7).
+    delete_sub itself, this should read _memo too (ROADMAP item 7).
     """
     return det_closed(A.delete_sub(at))
 
 
 def cofactor(A: CubicMatrix, at: Index3, convention: SignConvention = SignConvention.EXPANSION) -> Scalar:
     """Signed minor of the entry at ``at`` under the chosen convention,
-    the minor read from A's per-cell memo (see _cell)."""
+    the minor read from A's per-cell memo (see _memo)."""
     f = A._minor_flat(at)
-    value = _cell(A, f)[1]
+    value = Scalar(_memo(A)[0][f], A._scale ** (A.order - 1))
     at = _CELLS[A.order][f][0]
     sign = sign_expansion(at) if convention is SignConvention.EXPANSION else sign_paper_def(at)
     return value if sign > 0 else -value
@@ -151,28 +135,30 @@ def expand(A: CubicMatrix, axis: Axis, index: int) -> ExpansionTrace:
     """One layer expansion with a full per-term trace.
 
     Every term records sign * entry * minor; the total equals the
-    determinant of A.  The sign is read per term, at call time.  Each
-    term comes from A's per-cell memo (see _cell) when the memo holds
-    one with that sign, and is built, and kept there, when it does not;
-    a term whose contribution leaves 64 bits raises and is never kept.
+    determinant of A.  The sign is read per term, at call time.  The
+    minors come from A's per-cell memo (see _memo), and so does each
+    term when the memo holds one with that sign; otherwise the term is
+    built, and kept there.  A term whose minor or contribution leaves
+    64 bits raises and is never kept.
     """
     n = A.order
     if n == 1:
         raise ShapeError("an order-1 matrix has no layers to expand along")
     cells = A._layer_cells(axis, index)
+    minors, kept = _memo(A)
     ints = A._ints
     den = A._scale**n
     terms = []
     total = 0
     for f in cells:
         at = _CELLS[n][f][0]
-        cell = _cell(A, f)
-        entry, minor_value, minor_int, term = cell
         sign = sign_expansion(at)
-        contribution = sign * ints[f] * minor_int
+        contribution = sign * ints[f] * minors[f]
         total += contribution
+        term = kept[f]
         if term is None or term.sign != sign:
-            term = cell[3] = TraceTerm(at, entry, sign, minor_value, Scalar(contribution, den))
+            minor_value = Scalar(minors[f], A._scale ** (n - 1))
+            term = kept[f] = TraceTerm(at, Scalar(ints[f], A._scale), sign, minor_value, Scalar(contribution, den))
         terms.append(term)
     return ExpansionTrace(axis, index, tuple(terms), Scalar(total, den))
 
@@ -184,11 +170,9 @@ def _expansion_totals(A: CubicMatrix) -> list[Scalar]:
     expansions through it, so each of the n**3 terms is computed once,
     over _CELLS, and every expansion sums its _LAYER_FLAT cells.  As ints
     over A._ints, a minor is scaled by _scale**(n-1) and a contribution
-    by _scale**n.  The minors are _cell's, from the same _minor_rows,
-    all n**3 of them from one _MINORS kernel call; the memo is neither
-    read nor filled: cross_check calls this once per matrix, where the
-    memo's Scalars would buy nothing.  The signs are read per entry, at
-    call time, as expand reads them.
+    by _scale**n.  The minors are the ones expand and cofactor read,
+    from A's per-cell memo (see _memo).  The signs are read per entry,
+    at call time, as expand reads them.
 
     The one fallback: if _scale**n or any minor or contribution leaves
     64 bits, return expand_all's totals.  Otherwise only a total can
@@ -199,7 +183,7 @@ def _expansion_totals(A: CubicMatrix) -> list[Scalar]:
     den = A._scale**n
     if den <= _DEN_MAX:
         ints = A._ints
-        minors = _MINORS[n](ints)
+        minors = _memo(A)[0]
         terms = [sign_expansion(at) * v * m for (at, _), v, m in zip(_CELLS[n], ints, minors)]
         if _NUM_MIN <= min(minors) and max(minors) <= _NUM_MAX and _NUM_MIN <= min(terms) and max(terms) <= _NUM_MAX:
             return [Scalar(sum([terms[f] for f in _LAYER_FLAT[(n, axis, index)]]), den) for axis, index in _PATHS[n]]

@@ -305,9 +305,13 @@ class TestGen:
         assert "order" in err
 
     def test_entry_overflow(self, capsys):
+        # The message names the options that reproduce it.
         cause = "numerator -97907210574996860947 outside the signed 64-bit range"
         argv = ["gen", "--order", "2", "--seed", "3", "--range", str(10**20)]
-        assert run_cli(capsys, argv) == (2, "", f"error: {cause}\n")
+        assert run_cli(capsys, argv) == (2, "", f"error: --order 2 --seed 3 --range {10**20}: {cause}\n")
+        cause = "numerator -99983705791583341392465 outside the signed 64-bit range"
+        argv = ["gen", "--order", "3", "--range", str(10**23)]
+        assert run_cli(capsys, argv) == (2, "", f"error: --order 3 --seed 0 --range {10**23}: {cause}\n")
 
 
 class TestErrorHandling:
@@ -446,7 +450,8 @@ print("hashlib" in sys.modules)
 
 
 # Prints, per kernel cache, the keys compiled so far: after the import,
-# then after one `det --method closed` of the file named in argv[1].
+# after one `det --method closed` of the file named in argv[1], and after
+# one `expand --axis h --index 1` of the same file.
 KERNEL_PROBE = """
 import sys
 import cubicdet.cli
@@ -457,6 +462,8 @@ def compiled():
     print({name: sorted(cache) for name, cache in caches.items()})
 compiled()
 cubicdet.cli.main(["det", sys.argv[1], "--method", "closed"])
+compiled()
+cubicdet.cli.main(["expand", sys.argv[1], "--axis", "h", "--index", "1"])
 compiled()
 """
 
@@ -476,7 +483,8 @@ class TestStartup:
 
     def test_kernels_compile_on_first_use(self, e2_path):
         # Compiling a kernel costs far more than running it: the import
-        # compiles none, and one command only the kernels it runs.
+        # compiles none, and one command only the kernels it runs.  An
+        # expansion gets all 27 minors of an order-3 matrix from one kernel.
         src = Path(__file__).resolve().parents[1] / "src"
         done = subprocess.run(
             [sys.executable, "-c", KERNEL_PROBE, e2_path],
@@ -486,9 +494,11 @@ class TestStartup:
             timeout=60,
         )
         assert (done.returncode, done.stderr) == (0, "")
-        after_import, printed, after_det = done.stdout.splitlines()
+        after_import, printed, after_det, *trace, after_expand = done.stdout.splitlines()
         caches = ast.literal_eval(after_import)
-        assert set(caches) == {"_CLOSED", "_PERM", "_LAPLACE", "_MINOR", "_MINORS"}
+        assert set(caches) == {"_CLOSED", "_PERM", "_LAPLACE", "_MINORS"}
         assert all(keys == [] for keys in caches.values())
         assert printed == "326"
         assert ast.literal_eval(after_det) == {**caches, "_CLOSED": [3]}
+        assert (trace[0], trace[-1], len(trace)) == ("axis h index 1", "total=326", 11)
+        assert ast.literal_eval(after_expand) == {**caches, "_CLOSED": [3], "_MINORS": [3]}

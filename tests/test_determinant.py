@@ -8,11 +8,14 @@ from cubicdet import (
     Index3,
     Scalar,
     ScalarOverflowError,
+    SignConvention,
+    cofactor,
     cross_check,
     det_laplace,
     expand,
     det_closed,
     det_permutation,
+    minor,
     perm_terms,
     random_cubic,
     sign_expansion,
@@ -191,6 +194,9 @@ class TestOverflowAgreement:
     ZERO_TIMES_WIDE_MINOR = CubicMatrix(
         3, [[[0, 0, 0]] * 3, [[0, 0, 0], [0, 2**32, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 2**32]]]
     )
+    # a_221 is 2**62 and a_333 is 2: the minor at (1, 1, 2) is 2**63, one
+    # past the bounds, while its expansion cofactor -2**63 would fit.
+    MINOR_2_63 = CubicMatrix(3, [[[0, 0, 0], [0, 2**62, 0], [0, 0, 0]], [[0, 0, 0]] * 3, [[0, 0, 0], [0, 0, 0], [0, 0, 2]]])
 
     def test_routes_agree_past_an_unrepresentable_intermediate(self):
         assert det_closed(self.BIG) == ZERO
@@ -201,12 +207,17 @@ class TestOverflowAgreement:
 
     def test_unrepresentable_trace_values_raise(self):
         # In BIG each trace contribution is 2**80.
-        for m in (self.BIG, self.WIDE_DEN, self.ZERO_TIMES_WIDE_MINOR):
+        for m in (self.BIG, self.WIDE_DEN, self.ZERO_TIMES_WIDE_MINOR, self.MINOR_2_63):
             assert det_permutation(m) == ZERO
             with pytest.raises(ScalarOverflowError):
                 expand(m, Axis.HORIZONTAL_LAYER, 1)
             with pytest.raises(ScalarOverflowError):
                 cross_check(m)
+        # A cofactor is its minor's bounds check, then the sign.
+        at = Index3(1, 1, 2)
+        for call in (minor, cofactor, lambda m, at: cofactor(m, at, SignConvention.PAPER_DEF)):
+            with pytest.raises(ScalarOverflowError, match=r"^numerator 9223372036854775808 outside"):
+                call(self.MINOR_2_63, at)
 
     # In order 2 each trace contribution is one signed monomial, so it is
     # the same in all six expansions.  AT_MIN has the monomials 2**63-1

@@ -429,9 +429,9 @@ def test_memo_leaves_equality_and_hash(example2):
 
 
 def test_memo_is_shared_safely_between_threads():
-    # Two threads may fill the same cell, or each install a memo list and
-    # lose the other's fills; both only repeat work, so every answer is
-    # still the fresh one.
+    # Two threads may each compute a matrix's minors and install their
+    # own whole memo tuple, losing the terms the other kept there; that
+    # only repeats work, so every answer is still the fresh one.
     def answers(A):
         at_cells = [Index3(i, j, k) for i, j, k in product((1, 2, 3), repeat=3)]
         return expand_all(A) + [cofactor(A, at) for at in at_cells]

@@ -48,8 +48,8 @@ MUTANTS = (
     Mutant(
         "expand-minor-denominator",
         "src/cubicdet/laplace.py",
-        "Scalar(minor_value, A._scale ** (A.order - 1))",
-        "Scalar(minor_value, A._scale**A.order)",
+        "Scalar(minors[f], A._scale ** (n - 1))",
+        "Scalar(minors[f], A._scale**n)",
         (
             "tests/test_rational_reference.py::test_every_route_matches_the_reference",
             "tests/test_laplace.py::test_expansion_totals_are_the_traced_totals",
@@ -58,12 +58,26 @@ MUTANTS = (
     Mutant(
         "memo-ignores-the-cell",
         "src/cubicdet/laplace.py",
-        "cell = memo[f]\n",
-        "cell = memo[0]\n",
+        "term = kept[f]\n",
+        "term = kept[0]\n",
         (
             "tests/test_laplace.py::test_memo_answers_as_a_fresh_matrix",
             "tests/test_laplace.py::test_expand_reads_the_sign_at_call_time",
         ),
+    ),
+    Mutant(
+        "cofactor-signs-before-the-bound",
+        "src/cubicdet/laplace.py",
+        """    value = Scalar(_memo(A)[0][f], A._scale ** (A.order - 1))
+    at = _CELLS[A.order][f][0]
+    sign = sign_expansion(at) if convention is SignConvention.EXPANSION else sign_paper_def(at)
+    return value if sign > 0 else -value
+""",
+        """    at = _CELLS[A.order][f][0]
+    sign = sign_expansion(at) if convention is SignConvention.EXPANSION else sign_paper_def(at)
+    return Scalar(sign * _memo(A)[0][f], A._scale ** (A.order - 1))
+""",
+        ("tests/test_determinant.py::TestOverflowAgreement::test_unrepresentable_trace_values_raise",),
     ),
     Mutant(
         "term-memo-ignores-the-sign",
@@ -302,6 +316,13 @@ MUTANTS = (
         "seed = 0 if args.seed is None",
         "seed = 1 if args.seed is None",
         ("tests/test_cli.py::TestVerify::test_random_defaults",),
+    ),
+    Mutant(
+        "gen-overflow-names-no-reproducer",
+        "src/cubicdet/cli.py",
+        'raise ScalarOverflowError(f"--order {spec.order} --seed {spec.seed} --range {spec.range}: {err}") from err',
+        "raise",
+        ("tests/test_cli.py::TestGen::test_entry_overflow",),
     ),
     Mutant(
         "gen-default-seed",
