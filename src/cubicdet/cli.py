@@ -6,13 +6,16 @@ character); "-" reads stdin.  Axis flags are h (horizontal layer,
 fixes i), p (vertical page, fixes j), l (vertical layer, fixes k).
 
 Exit codes: 0 success (or verification pass), 1 verification failure,
-2 usage or input error.  Identical invocations print identical bytes.
+2 usage or input error, 141 stdout closed by its reader (the code a
+shell reports for a process that SIGPIPE ends).  Identical invocations
+print identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .core3d import Axis, CubicMatrix, Index3, ScalarOverflowError, ShapeError
@@ -156,8 +159,7 @@ def _cmd_verify(args, parser) -> int:
         print(f"trials run: {summary.trials}")
         print(f"failures: {summary.failures}")
         if summary.failures:
-            first = summary.first_failure
-            print(f"first failure: --order {first.order} --seed {first.seed} --range {first.range}")
+            print(f"first failure: {summary.first_failure}")
             print("FAIL")
             return 1
         print("PASS")
@@ -186,7 +188,7 @@ def _cmd_gen(args, parser) -> int:
     try:
         matrix = random_cubic(spec)
     except ScalarOverflowError as err:  # named by its reproducer, as verify --random names one
-        raise ScalarOverflowError(f"--order {spec.order} --seed {spec.seed} --range {spec.range}: {err}") from err
+        raise ScalarOverflowError(f"{spec}: {err}") from err
     sys.stdout.write(serialize_text(matrix))
     return 0
 
@@ -259,7 +261,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, args.parser)
+        code = args.func(args, args.parser)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (`cubicdet gen --order 3 | head -c0`): stop
+        # quietly, and point stdout at devnull for Python's final flush.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ParseError, ShapeError, ScalarOverflowError, IndexError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

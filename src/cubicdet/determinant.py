@@ -53,19 +53,15 @@ expansions whenever the fixed layer index is even.
 from __future__ import annotations
 
 import itertools
-import math
 import re
-from collections import namedtuple
 from functools import lru_cache
 
 from .core3d import CubicMatrix, Index3, Scalar, _flat, _index3
 
 __all__ = [
-    "SignedTerm",
     "det_closed",
     "det_permutation",
     "perm_terms",
-    "signed_terms",
     "sign_expansion",
     "sign_paper_def",
 ]
@@ -129,20 +125,6 @@ def _flatten(order: int, terms) -> tuple:
 
 
 _FLAT = {order: _flatten(order, terms) for order, terms in _TERMS.items()}
-
-
-class SignedTerm(namedtuple("SignedTerm", "sign positions value")):
-    """One monomial of a determinant expansion.
-
-    positions lists one Index3 per horizontal layer, i ascending; as a
-    pair of bijections they hit every i, every j, and every k exactly
-    once.  value == sign * product of the addressed entries.
-    """
-
-    __slots__ = ()
-    sign: int
-    positions: tuple[Index3, ...]
-    value: Scalar
 
 
 def _expression(table) -> str:
@@ -217,17 +199,10 @@ def perm_terms(order: int) -> tuple:
     )
 
 
-@lru_cache(maxsize=None)
-def _perm_flat(order: int) -> tuple:
-    """perm_terms(order) as (sign, f1, ..., fn) over flat k-major cells.
-
-    Derived from the permutations, never from the closed-form tables.
-    """
-    return _flatten(order, perm_terms(order))
-
-
 # The permutation sum of each order, as a kernel over the flat ints.
-_PERM = _Kernels(lambda order: _expression(_perm_flat(order)))
+# Derived from the permutations, never from the closed-form tables, so
+# that the cross-check compares two independent routes.
+_PERM = _Kernels(lambda order: _expression(_flatten(order, perm_terms(order))))
 
 
 def det_permutation(A: CubicMatrix) -> Scalar:
@@ -237,21 +212,6 @@ def det_permutation(A: CubicMatrix) -> Scalar:
     verification harness.
     """
     return Scalar(_PERM[A.order](A._ints), A._scale**A.order)
-
-
-def signed_terms(A: CubicMatrix) -> list[SignedTerm]:
-    """The evaluated permutation-expansion monomials of A, in template order."""
-    n = A.order
-    ints = A._ints
-    den = A._scale**n
-    return [
-        SignedTerm(
-            sign,
-            tuple(Index3(i, j, k) for i, j, k in positions),
-            Scalar(math.prod([ints[f] for f in cells], start=row_sign), den),
-        )
-        for (sign, positions), (row_sign, *cells) in zip(perm_terms(n), _perm_flat(n))
-    ]
 
 
 def sign_expansion(at: Index3) -> int:

@@ -97,6 +97,10 @@ class GenSpec(namedtuple("GenSpec", "order seed range")):
     def _make(cls, iterable):
         return cls(*iterable)  # namedtuple's _make and _replace skip __new__
 
+    def __str__(self) -> str:
+        """The options of ``cubicdet gen`` that reproduce this matrix."""
+        return f"--order {self.order} --seed {self.seed} --range {self.range}"
+
 
 def random_cubic(spec: GenSpec) -> CubicMatrix:
     """The matrix named by spec: splitmix64 outputs, consumed in
@@ -211,9 +215,7 @@ def batch_verify(orders, trials: int, seed: int, range: int) -> BatchSummary:
             try:
                 report = cross_check(random_cubic(spec))
             except ScalarOverflowError as err:
-                raise ScalarOverflowError(
-                    f"--order {spec.order} --seed {spec.seed} --range {spec.range}: {err}"
-                ) from err
+                raise ScalarOverflowError(f"{spec}: {err}") from err
             run += 1
             if not report.overall:
                 failures += 1

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cubicdet import Scalar, build_report, cross_check
+from cubicdet import GenSpec, Scalar, build_report, cross_check, random_cubic, serialize_text
 from cubicdet.cli import _integer, main
 from cubicdet.io import _INTEGER
 
@@ -299,6 +299,11 @@ class TestGen:
         assert code == 0
         assert det_out.splitlines()[-1] == "PASS"
 
+    def test_spec_text_is_the_reproducer(self, capsys):
+        # str(GenSpec) is the options that regenerate its matrix.
+        for spec in (GenSpec(1, 0, 1), GenSpec(2, 3, 9), GenSpec(3, (1 << 64) - 1, 10**6)):
+            assert run_cli(capsys, ["gen", *str(spec).split()]) == (0, serialize_text(random_cubic(spec)), "")
+
     def test_bad_order(self, capsys):
         code, _, err = run_cli(capsys, ["gen", "--order", "4"])
         assert code == 2
@@ -349,6 +354,29 @@ class TestErrorHandling:
                 timeout=60,
             )
             assert (done.returncode, done.stdout, done.stderr) == (2, b"", error), source
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_ends_quietly(self, unbuffered):
+        # A reader that closes the pipe first, as `| head -c0` does: the
+        # write fails in print when unbuffered, else in the final flush.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "cubicdet", "gen", "--order", "3"],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (141, b"")
 
     def test_missing_file(self, capsys):
         code, out, err = run_cli(capsys, ["det", "/nonexistent/matrix.txt"])

@@ -14,7 +14,6 @@ from cubicdet import (
     Scalar,
     ScalarOverflowError,
     ShapeError,
-    SignedTerm,
     TraceTerm,
     VerifyReport,
 )
@@ -140,7 +139,7 @@ class TestIndex3:
 
     def test_records_annotate_their_fields(self):
         # Each record names its fields twice: to namedtuple and as annotations.
-        for record in (Index3, SignedTerm, TraceTerm, ExpansionTrace, GenSpec, VerifyReport, BatchSummary):
+        for record in (Index3, TraceTerm, ExpansionTrace, GenSpec, VerifyReport, BatchSummary):
             assert tuple(record.__annotations__) == record._fields
 
 

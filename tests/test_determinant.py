@@ -20,7 +20,6 @@ from cubicdet import (
     random_cubic,
     sign_expansion,
     sign_paper_def,
-    signed_terms,
 )
 from cubicdet.determinant import _TERMS_2, _TERMS_3
 
@@ -83,25 +82,6 @@ class TestPermTerms:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             perm_terms(4)
-
-
-class TestSignedTerms:
-    def test_bijections_and_values(self, example2):
-        terms = signed_terms(example2)
-        assert len(terms) == 36
-        total = ZERO
-        for t in terms:
-            assert t.sign in (1, -1)
-            want = set(range(1, 4))
-            assert {p.i for p in t.positions} == want
-            assert {p.j for p in t.positions} == want
-            assert {p.k for p in t.positions} == want
-            prod = Scalar(1)
-            for p in t.positions:
-                prod = prod * example2.get(p)
-            assert t.value == (prod if t.sign > 0 else -prod)
-            total = total + t.value
-        assert total == det_permutation(example2)
 
 
 class TestSigns:

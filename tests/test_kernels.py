@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cubicdet import determinant, laplace
 from cubicdet.core3d import _CELLS
-from cubicdet.determinant import _FLAT, _expression, _Kernels, _perm_flat
+from cubicdet.determinant import _FLAT, _expression, _flatten, _Kernels, perm_terms
 from cubicdet.laplace import _LAPLACE_FLAT
 
 # Every kernel cache with every key it answers.
@@ -57,7 +57,7 @@ def test_every_kernel_is_its_table(ints):
     for n in (1, 2, 3):
         a = tuple(ints[: n**3])
         assert determinant._CLOSED[n](a) == loop_sum(_FLAT[n], a), n
-        assert determinant._PERM[n](a) == loop_sum(_perm_flat(n), a), n
+        assert determinant._PERM[n](a) == loop_sum(_flatten(n, perm_terms(n)), a), n
     for key, rows in _LAPLACE_FLAT.items():
         assert laplace._LAPLACE[key](ints[: key[0] ** 3]) == loop_sum(rows, ints), key
     for n in (2, 3):

@@ -30,7 +30,7 @@ from cubicdet import (
     sign_paper_def,
 )
 from cubicdet import laplace
-from cubicdet.determinant import _perm_flat
+from cubicdet.determinant import _flatten, perm_terms
 from cubicdet.laplace import _LAPLACE_FLAT, _expansion_totals
 
 
@@ -288,7 +288,7 @@ class TestDetLaplace:
         assert len(_LAPLACE_FLAT) == 18
         for (order, axis, index), rows in _LAPLACE_FLAT.items():
             assert len(rows) == math.factorial(order) ** 2
-            assert monomials(rows) == monomials(_perm_flat(order)), (order, axis, index)
+            assert monomials(rows) == monomials(_flatten(order, perm_terms(order))), (order, axis, index)
 
 
 class TestExpandAll:

@@ -24,9 +24,12 @@ pairs the change won, and a verdict against the metric's bound:
 its median beats the parent's by more than the parent's IQR, and no
 larger share of its operations failed than of the parent's.
 
-It also records one 10-s ``--trace 1`` run per side and workload (every
-per-layer metric) and one run of each tree's tier-1 suite: wall time,
-the summary line and the five slowest tests.
+It also records three 10-s ``--trace 1`` runs per side and workload
+(every per-layer metric), the sides alternating as in the pairs and run
+t seeded ``first-seed + t``, with each run's metrics and their
+per-metric median per side: one traced run swings more than most
+changes move a row.  Last comes one run of each tree's tier-1 suite:
+wall time, the summary line and the five slowest tests.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 PAIRS = 10
 SECONDS = SPEC["run_seconds"]
 TRACE_SECONDS = 10
+TRACED_RUNS = 3
 
 
 def _git(*args: str) -> str:
@@ -155,6 +159,23 @@ def _pairs(trees: dict[str, Path], workload: str, first_seed: int) -> dict:
     }
 
 
+def _traced(trees: dict[str, Path], workload: str, first_seed: int) -> dict:
+    runs = {"parent": [], "change": []}
+    for t in range(TRACED_RUNS):
+        for side in ("parent", "change") if t % 2 == 0 else ("change", "parent"):
+            runs[side].append(_bench(trees[side], workload, first_seed + t, TRACE_SECONDS, 1))
+    return {
+        "seeds": [first_seed + t for t in range(TRACED_RUNS)],
+        "seconds": TRACE_SECONDS,
+        "first": ["parent" if t % 2 == 0 else "change" for t in range(TRACED_RUNS)],
+        "runs": runs,
+        "median": {
+            side: {name: statistics.median(r["metrics"][name] for r in side_runs) for name in side_runs[0]["metrics"]}
+            for side, side_runs in runs.items()
+        },
+    }
+
+
 def _suite(tree: Path) -> dict:
     _drop_bytecode(tree)
     env = dict(_env(), PYTHONPATH=str(tree / "src"))
@@ -191,11 +212,7 @@ def main(argv=None) -> int:
         for workload in workloads:
             report["workloads"][workload] = _pairs(trees, workload, args.first_seed)
         for workload in workloads:
-            report["traced"][workload] = {
-                "seed": args.first_seed,
-                "seconds": TRACE_SECONDS,
-                **{side: _bench(tree, workload, args.first_seed, TRACE_SECONDS, 1) for side, tree in trees.items()},
-            }
+            report["traced"][workload] = _traced(trees, workload, args.first_seed)
         report["tier1"] = {side: _suite(tree) for side, tree in trees.items()}
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for workload, result in report["workloads"].items():

@@ -320,9 +320,31 @@ MUTANTS = (
     Mutant(
         "gen-overflow-names-no-reproducer",
         "src/cubicdet/cli.py",
-        'raise ScalarOverflowError(f"--order {spec.order} --seed {spec.seed} --range {spec.range}: {err}") from err',
+        'raise ScalarOverflowError(f"{spec}: {err}") from err',
         "raise",
         ("tests/test_cli.py::TestGen::test_entry_overflow",),
+    ),
+    Mutant(
+        "broken-pipe-unguarded",
+        "src/cubicdet/cli.py",
+        """    except BrokenPipeError:
+        # The reader went away (`cubicdet gen --order 3 | head -c0`): stop
+        # quietly, and point stdout at devnull for Python's final flush.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+""",
+        "",
+        (
+            "tests/test_cli.py::TestErrorHandling::test_closed_stdout_ends_quietly[False]",
+            "tests/test_cli.py::TestErrorHandling::test_closed_stdout_ends_quietly[True]",
+        ),
+    ),
+    Mutant(
+        "broken-pipe-found-at-exit",
+        "src/cubicdet/cli.py",
+        "        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit\n",
+        "",
+        ("tests/test_cli.py::TestErrorHandling::test_closed_stdout_ends_quietly[False]",),
     ),
     Mutant(
         "gen-default-seed",
