@@ -9,22 +9,34 @@ Exit codes: 0 success (or verification pass), 1 verification failure,
 2 usage or input error, 141 stdout closed by its reader (the code a
 shell reports for a process that SIGPIPE ends).  Identical invocations
 print identical bytes.
+
+Start-up is scoped to the command: this module imports only core3d and
+io, which every command uses, and each command imports what it runs
+when it runs; json loads only for JSON input or --json output.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .core3d import Axis, CubicMatrix, Index3, ScalarOverflowError, ShapeError
-from .determinant import det_closed, det_permutation
 from .io import _INTEGER, ParseError, _json_scalar, parse_json, parse_text, serialize_text
-from .laplace import ExpansionTrace, SignConvention, cofactor, det_laplace, expand, minor
-from .verify import GenSpec, batch_verify, cross_check, random_cubic
 
 __all__ = ["main"]
+
+
+def __getattr__(name: str):
+    # What a command imports when it runs stays out of this module's
+    # globals, so a later rebinding of the name in its own module reaches
+    # every call.  `verify FILE` reads cross_check through this module, so
+    # that a patch of cubicdet.cli.cross_check reaches it too.
+    if name == "cross_check":
+        from .verify import cross_check
+
+        return cross_check
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _read_source(path: str) -> str:
@@ -54,7 +66,7 @@ def _integer(token: str) -> int:
 _integer.__name__ = "int"  # argparse names the type in "invalid int value: ..."
 
 
-def _print_trace(trace: ExpansionTrace) -> None:
+def _print_trace(trace) -> None:
     print(f"axis {trace.axis.letter} index {trace.index}")
     for t in trace.terms:
         print(
@@ -64,7 +76,7 @@ def _print_trace(trace: ExpansionTrace) -> None:
     print(f"total={trace.total}")
 
 
-def _trace_json(trace: ExpansionTrace) -> dict:
+def _trace_json(trace) -> dict:
     return {
         "axis": trace.axis.letter,
         "index": trace.index,
@@ -84,6 +96,12 @@ def _trace_json(trace: ExpansionTrace) -> dict:
     }
 
 
+def _print_json(doc) -> None:
+    import json
+
+    print(json.dumps(doc))
+
+
 def _cmd_det(args, parser) -> int:
     if args.method != "laplace":
         if args.trace:
@@ -92,34 +110,44 @@ def _cmd_det(args, parser) -> int:
             parser.error("--axis and --index require --method laplace")
     A = _load_matrix(args.file)
     if args.method == "closed":
+        from .determinant import det_closed
+
         value = det_closed(A)
     elif args.method == "perm":
+        from .determinant import det_permutation
+
         value = det_permutation(A)
     else:
+        from .laplace import det_laplace, expand
+
         axis = Axis.from_letter(args.axis or "h")
         index = 1 if args.index is None else args.index
         value = det_laplace(A, axis, index)
     if args.trace:
         trace = expand(A, axis, index)
         if args.json:
-            print(json.dumps({"det": _json_scalar(value), "trace": _trace_json(trace)}))
+            _print_json({"det": _json_scalar(value), "trace": _trace_json(trace)})
         else:
             _print_trace(trace)
         return 0
     if args.json:
-        print(json.dumps({"det": _json_scalar(value)}))
+        _print_json({"det": _json_scalar(value)})
     else:
         print(value)
     return 0
 
 
 def _cmd_minor(args, parser) -> int:
+    from .laplace import minor
+
     A = _load_matrix(args.file)
     print(minor(A, Index3(args.i, args.j, args.k)))
     return 0
 
 
 def _cmd_cofactor(args, parser) -> int:
+    from .laplace import SignConvention, cofactor
+
     A = _load_matrix(args.file)
     convention = SignConvention(args.convention)
     if convention is SignConvention.PAPER_DEF:
@@ -133,6 +161,8 @@ def _cmd_cofactor(args, parser) -> int:
 
 
 def _cmd_expand(args, parser) -> int:
+    from .laplace import expand
+
     A = _load_matrix(args.file)
     _print_trace(expand(A, Axis.from_letter(args.axis), args.index))
     return 0
@@ -151,6 +181,8 @@ def _cmd_verify(args, parser) -> int:
             orders = tuple(_integer(tok) for tok in orders_text.split(","))
         except ValueError:
             parser.error(f"--orders must be comma-separated integers, got {orders_text!r}")
+        from .verify import batch_verify
+
         try:
             summary = batch_verify(orders, trials, seed, range_)
         except ValueError as err:
@@ -168,7 +200,7 @@ def _cmd_verify(args, parser) -> int:
         parser.error("--orders, --trials, --seed and --range require --random")
     if args.file is None:
         parser.error("verify needs a matrix file or --random")
-    report = cross_check(_load_matrix(args.file))
+    report = sys.modules[__name__].cross_check(_load_matrix(args.file))
     print(f"matrix {report.subject}")
     print(f"det={report.det_value}")
     for name, value in report.paths.items():
@@ -181,6 +213,8 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_gen(args, parser) -> int:
+    from .verify import GenSpec, random_cubic
+
     try:
         spec = GenSpec(args.order, args.seed, args.range)
     except ValueError as err:

@@ -29,7 +29,6 @@ exactly.  Every parse error names a 1-based location.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 
@@ -181,6 +180,8 @@ class _Int(str):
 
 def parse_json(text: str) -> CubicMatrix:
     """Parse the JSON format; floats are rejected wherever they appear."""
+    import json  # here, not at the top: a process that reads only text never loads it
+
     try:
         doc = json.loads(text, parse_float=_Float, parse_int=_Int, parse_constant=_Float)
     except json.JSONDecodeError as err:
@@ -243,5 +244,7 @@ def _json_scalar(value: Scalar):
 def serialize_json(A: CubicMatrix) -> str:
     """Canonical JSON form: {"order": n, "layers": [...]} on one line,
     integer entries as JSON integers, others as "p/q" strings."""
+    import json
+
     cells = [num if den == 1 else f"{num}/{den}" for num, den in _reduced_cells(A)]
     return json.dumps({"order": A.order, "layers": _nested(A.order, cells)})

@@ -123,9 +123,11 @@ def minor(A: CubicMatrix, at: Index3) -> Scalar:
 
 def cofactor(A: CubicMatrix, at: Index3, convention: SignConvention = SignConvention.EXPANSION) -> Scalar:
     """Signed minor of the entry at ``at`` under the chosen convention,
-    the minor read from A's per-cell memo (see _memo)."""
+    the minor read from A's per-cell memo (see _memo): the minor_value of
+    the cell's kept term, whatever its sign, or else built from the int."""
     f = A._minor_flat(at)
-    value = Scalar(_memo(A)[0][f], A._scale ** (A.order - 1))
+    minors, kept = _memo(A)
+    value = Scalar(minors[f], A._scale ** (A.order - 1)) if kept[f] is None else kept[f].minor_value
     at = _CELLS[A.order][f][0]
     sign = sign_expansion(at) if convention is SignConvention.EXPANSION else sign_paper_def(at)
     return value if sign > 0 else -value

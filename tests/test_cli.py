@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cubicdet import GenSpec, Scalar, build_report, cross_check, random_cubic, serialize_text
+from cubicdet import GenSpec, Scalar, build_report, cross_check, random_cubic, serialize_json, serialize_text
 from cubicdet.cli import _integer, main
 from cubicdet.io import _INTEGER
 
@@ -496,7 +496,65 @@ compiled()
 """
 
 
+# Runs cubicdet.cli.main(argv[1:]) with stdout captured and prints, of the
+# modules the import and the command loaded, the cubicdet ones and
+# whether json was one of them.
+IMPORT_PROBE = """
+import contextlib, io, sys
+before = set(sys.modules)
+import cubicdet.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cubicdet.cli.main(sys.argv[1:])
+loaded = set(sys.modules) - before
+print((code, sorted(m for m in loaded if m.partition(".")[0] == "cubicdet"), "json" in loaded))
+"""
+
+# Each command loads only the modules it runs: core3d and io always,
+# determinant for a determinant, laplace for an expansion, minor or
+# cofactor, and verify (which needs all the others) for verify and gen.
+PARSE = ["cubicdet", "cubicdet.cli", "cubicdet.core3d", "cubicdet.io"]
+DETERMINANT = sorted(PARSE + ["cubicdet.determinant"])
+LAPLACE = sorted(DETERMINANT + ["cubicdet.laplace"])
+EVERYTHING = sorted(LAPLACE + ["cubicdet.verify"])
+COMMAND_MODULES = {
+    "det": (["det", "{file}"], DETERMINANT),
+    "det-perm": (["det", "{file}", "--method", "perm"], DETERMINANT),
+    "det-laplace": (["det", "{file}", "--method", "laplace", "--trace"], LAPLACE),
+    "expand": (["expand", "{file}", "--axis", "p", "--index", "2"], LAPLACE),
+    "minor": (["minor", "{file}", "1", "2", "3"], LAPLACE),
+    "cofactor": (["cofactor", "{file}", "1", "2", "3"], LAPLACE),
+    "verify": (["verify", "{file}"], EVERYTHING),
+    "gen": (["gen", "--order", "3"], EVERYTHING),
+}
+
+
 class TestStartup:
+    @staticmethod
+    def probe_imports(argv):
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, *argv],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        return ast.literal_eval(done.stdout)
+
+    @pytest.mark.parametrize("command", COMMAND_MODULES)
+    def test_command_loads_only_what_it_runs(self, command, e2_path):
+        argv, want = COMMAND_MODULES[command]
+        assert self.probe_imports([e2_path if a == "{file}" else a for a in argv]) == (0, want, False)
+
+    def test_json_input_or_output_loads_the_same_modules(self, example2, tmp_path, e2_path):
+        # The module set does not change; json itself may already be
+        # loaded at start-up on some installs, so only its absence is pinned.
+        matrix = tmp_path / "m.json"
+        matrix.write_text(serialize_json(example2), encoding="utf-8")
+        assert self.probe_imports(["det", str(matrix)])[:2] == (0, DETERMINANT)
+        assert self.probe_imports(["det", e2_path, "--json"])[:2] == (0, DETERMINANT)
+
     def test_cli_import_defers_costly_modules(self):
         src = Path(__file__).resolve().parents[1] / "src"
         done = subprocess.run(

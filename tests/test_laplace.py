@@ -383,6 +383,15 @@ def test_expand_reads_the_sign_at_call_time(example2, monkeypatch):
     assert cofactor(example2, Index3(1, 2, 3)) == minor(example2, Index3(1, 2, 3)) == Scalar(1)
 
 
+def test_cofactor_reads_the_kept_minor(example2):
+    # After an expansion, a cofactor through one of its cells signs the
+    # kept term's minor_value, whatever that term's sign, and builds none.
+    terms = expand(example2, Axis.HORIZONTAL_LAYER, 1).terms
+    assert (terms[0].at, terms[0].sign, terms[1].sign) == (Index3(1, 1, 1), 1, -1)
+    assert cofactor(example2, terms[0].at) is terms[0].minor_value
+    assert cofactor(example2, terms[1].at, SignConvention.PAPER_DEF) is terms[1].minor_value
+
+
 def test_an_overflowing_term_is_never_kept():
     # Every entry 2**40: each contribution is 2**80, past the bounds, and
     # each minor 2**40, inside them.  No term is kept, so every expansion

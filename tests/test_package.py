@@ -2,6 +2,10 @@
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,3 +47,37 @@ def test_package_reexports_each_defining_modules_object():
     namespace = {}
     exec("from cubicdet import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(cubicdet.__all__)
+
+
+def test_each_name_is_mapped_to_its_defining_module():
+    # The package resolves a name through one literal map, in __all__ order.
+    assert cubicdet._EXPORTS == {m.__name__.rpartition(".")[2]: tuple(m.__all__) for m in MODULES}
+    assert cubicdet.__all__ == [*(name for m in MODULES for name in m.__all__), "__version__"]
+
+
+def test_import_loads_no_submodule():
+    # In a fresh interpreter: `import cubicdet` loads no submodule, and a
+    # name loads only its own module and what that module imports.
+    probe = (
+        "import sys, cubicdet\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith('cubicdet.'))\n"
+        "print(loaded())\n"
+        "cubicdet.det_closed\n"
+        "print(loaded())\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "[]\n['cubicdet.core3d', 'cubicdet.determinant']\n"
+
+
+def test_dir_lists_every_name_and_unknown_names_raise():
+    assert set(cubicdet.__all__) | {m.__name__.rpartition(".")[2] for m in MODULES} <= set(dir(cubicdet))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        cubicdet.no_such_name  # noqa: B018

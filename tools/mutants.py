@@ -68,14 +68,14 @@ MUTANTS = (
     Mutant(
         "cofactor-signs-before-the-bound",
         "src/cubicdet/laplace.py",
-        """    value = Scalar(_memo(A)[0][f], A._scale ** (A.order - 1))
+        """    value = Scalar(minors[f], A._scale ** (A.order - 1)) if kept[f] is None else kept[f].minor_value
     at = _CELLS[A.order][f][0]
     sign = sign_expansion(at) if convention is SignConvention.EXPANSION else sign_paper_def(at)
     return value if sign > 0 else -value
 """,
         """    at = _CELLS[A.order][f][0]
     sign = sign_expansion(at) if convention is SignConvention.EXPANSION else sign_paper_def(at)
-    return Scalar(sign * _memo(A)[0][f], A._scale ** (A.order - 1))
+    return Scalar(sign * minors[f], A._scale ** (A.order - 1))
 """,
         ("tests/test_determinant.py::TestOverflowAgreement::test_unrepresentable_trace_values_raise",),
     ),
@@ -359,6 +359,14 @@ MUTANTS = (
         'p_gen.add_argument("--range", type=_integer, default=9,',
         'p_gen.add_argument("--range", type=_integer, default=10,',
         ("tests/test_cli.py::TestGen::test_defaults",),
+    ),
+    Mutant(
+        "cli-imports-every-module",
+        "src/cubicdet/cli.py",
+        "from .io import _INTEGER, ParseError, _json_scalar, parse_json, parse_text, serialize_text\n",
+        "from .io import _INTEGER, ParseError, _json_scalar, parse_json, parse_text, serialize_text\n"
+        "from . import laplace, verify\n",
+        ("tests/test_cli.py::TestStartup::test_command_loads_only_what_it_runs[det]",),
     ),
 )
 
