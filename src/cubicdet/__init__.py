@@ -20,17 +20,14 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core3d": (
         "NOT_CUBIC_MESSAGE", "ORDER_TOO_HIGH_MESSAGE", "ShapeError", "ScalarOverflowError", "Scalar",
-        "ZERO", "ONE", "Index3", "Axis", "CubicMatrix",
+        "ZERO", "ONE", "Index3", "Axis", "CubicMatrix", "SplitMix64", "GenSpec", "random_cubic",
     ),
     "determinant": ("det_closed", "det_permutation", "perm_terms", "sign_expansion", "sign_paper_def"),
     "io": ("ParseError", "parse_text", "serialize_text", "parse_json", "serialize_json"),
     "laplace": (
         "SignConvention", "TraceTerm", "ExpansionTrace", "minor", "cofactor", "expand", "det_laplace", "expand_all",
     ),
-    "verify": (
-        "SplitMix64", "GenSpec", "VerifyReport", "BatchSummary", "random_cubic", "matrix_digest", "build_report",
-        "cross_check", "batch_verify",
-    ),
+    "verify": ("VerifyReport", "BatchSummary", "matrix_digest", "build_report", "cross_check", "batch_verify"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -11,8 +11,11 @@ shell reports for a process that SIGPIPE ends).  Identical invocations
 print identical bytes.
 
 Start-up is scoped to the command: this module imports only core3d and
-io, which every command uses, and each command imports what it runs
-when it runs; json loads only for JSON input or --json output.
+io, which every command uses (gen needs nothing more), and each command
+imports what it runs when it runs; json loads only for JSON input or
+--json output.  What a command imports that way stays out of this
+module's globals, so a rebinding of the name in its own module (a patch
+of cubicdet.verify.cross_check, say) reaches every call.
 """
 
 from __future__ import annotations
@@ -21,22 +24,10 @@ import argparse
 import os
 import sys
 
-from .core3d import Axis, CubicMatrix, Index3, ScalarOverflowError, ShapeError
+from .core3d import Axis, CubicMatrix, GenSpec, Index3, ScalarOverflowError, ShapeError, random_cubic
 from .io import _INTEGER, ParseError, _json_scalar, parse_json, parse_text, serialize_text
 
 __all__ = ["main"]
-
-
-def __getattr__(name: str):
-    # What a command imports when it runs stays out of this module's
-    # globals, so a later rebinding of the name in its own module reaches
-    # every call.  `verify FILE` reads cross_check through this module, so
-    # that a patch of cubicdet.cli.cross_check reaches it too.
-    if name == "cross_check":
-        from .verify import cross_check
-
-        return cross_check
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _read_source(path: str) -> str:
@@ -150,13 +141,14 @@ def _cmd_cofactor(args, parser) -> int:
 
     A = _load_matrix(args.file)
     convention = SignConvention(args.convention)
-    if convention is SignConvention.PAPER_DEF:
+    value = cofactor(A, Index3(args.i, args.j, args.k), convention)
+    if convention is SignConvention.PAPER_DEF:  # after the entry is checked: an error prints only itself
         print(
             "note: paper-def signs the minor with (-1)^(i+j+k); "
             "layer expansions use the expansion sign (-1)^(j+k)",
             file=sys.stderr,
         )
-    print(cofactor(A, Index3(args.i, args.j, args.k), convention))
+    print(value)
     return 0
 
 
@@ -200,7 +192,9 @@ def _cmd_verify(args, parser) -> int:
         parser.error("--orders, --trials, --seed and --range require --random")
     if args.file is None:
         parser.error("verify needs a matrix file or --random")
-    report = sys.modules[__name__].cross_check(_load_matrix(args.file))
+    from .verify import cross_check
+
+    report = cross_check(_load_matrix(args.file))
     print(f"matrix {report.subject}")
     print(f"det={report.det_value}")
     for name, value in report.paths.items():
@@ -213,8 +207,6 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_gen(args, parser) -> int:
-    from .verify import GenSpec, random_cubic
-
     try:
         spec = GenSpec(args.order, args.seed, args.range)
     except ValueError as err:

@@ -1,4 +1,5 @@
-"""Exact scalars and the dense cubic (n x n x n) matrix container.
+"""Exact scalars, the dense cubic (n x n x n) matrix container, and the
+seeded generator that names a matrix by (order, seed, range).
 
 Entries are addressed by three 1-based indices (i, j, k):
 
@@ -22,12 +23,14 @@ nested layers.  ``CubicMatrix._layer_cells`` checks every layer.
 Every value here is immutable after construction and every operation
 is pure: methods return new objects and never change the value of their
 inputs, so values can be shared freely between threads or tasks.  The
-one private mutable slot is a matrix's per-cell memo (``_cell_memo``),
-which the laplace module fills on first read, in one call, with every
-cell's minor, which depends on the matrix value alone, and a slot per
-cell for its last trace term, which expand reuses only while the sign
-it reads at call time is the term's; so a value read from the memo is
-the value a fresh, equal matrix would give.
+one stateful object is the generator ``SplitMix64``: each ``next`` call
+advances it, so a stream belongs to one caller (``random_cubic`` makes
+its own).  The one private mutable slot is a matrix's per-cell memo
+(``_cell_memo``), which the laplace module fills on first read, in one
+call, with every cell's minor, which depends on the matrix value alone,
+and a slot per cell for its last trace term, which expand reuses only
+while the sign it reads at call time is the term's; so a value read
+from the memo is the value a fresh, equal matrix would give.
 """
 
 from __future__ import annotations
@@ -48,6 +51,9 @@ __all__ = [
     "Index3",
     "Axis",
     "CubicMatrix",
+    "SplitMix64",
+    "GenSpec",
+    "random_cubic",
 ]
 
 # Wording used when input dimensions cannot form a cubic matrix or the
@@ -434,3 +440,63 @@ class CubicMatrix:
             for i in range(self.order)
         )
         return f"<CubicMatrix order={self.order}: {body}>"
+
+
+class SplitMix64:
+    """The splitmix64 sequence: a 64-bit counter mixed through two
+    multiply-xorshift rounds.  Tiny, dependency-free, and stable across
+    languages, which is all the golden files need."""
+
+    _MASK = (1 << 64) - 1
+    _GAMMA = 0x9E3779B97F4A7C15
+    _MIX1 = 0xBF58476D1CE4E5B9
+    _MIX2 = 0x94D049BB133111EB
+
+    def __init__(self, seed: int):
+        self.state = seed & self._MASK
+
+    def next(self) -> int:
+        self.state = (self.state + self._GAMMA) & self._MASK
+        z = self.state
+        z = ((z ^ (z >> 30)) * self._MIX1) & self._MASK
+        z = ((z ^ (z >> 27)) * self._MIX2) & self._MASK
+        return z ^ (z >> 31)
+
+
+class GenSpec(namedtuple("GenSpec", "order seed range")):
+    """Recipe for one reproducible random matrix.
+
+    Entries are drawn uniformly (up to modulo bias, which is irrelevant
+    for identity checks) from the integers in [-range, range].
+    """
+
+    __slots__ = ()
+    order: int
+    seed: int
+    range: int
+
+    def __new__(cls, order: int, seed: int, range: int):
+        if order not in (1, 2, 3):
+            raise ValueError(f"order must be 1, 2, or 3, got {order!r}")
+        if not 0 <= seed <= SplitMix64._MASK:
+            raise ValueError(f"seed must fit in 64 bits, got {seed!r}")
+        if range < 1:
+            raise ValueError(f"range must be >= 1, got {range!r}")
+        return tuple.__new__(cls, (order, seed, range))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # namedtuple's _make and _replace skip __new__
+
+    def __str__(self) -> str:
+        """The options of ``cubicdet gen`` that reproduce this matrix."""
+        return f"--order {self.order} --seed {self.seed} --range {self.range}"
+
+
+def random_cubic(spec: GenSpec) -> CubicMatrix:
+    """The matrix named by spec: splitmix64 outputs, consumed in
+    canonical (k-major) cell order, each mapped to (x mod (2R+1)) - R."""
+    rng = SplitMix64(spec.seed)
+    span = 2 * spec.range + 1
+    ints = [rng.next() % span - spec.range for _ in range(spec.order**3)]
+    return CubicMatrix._reduced(spec.order, 1, ints, range(len(ints)))

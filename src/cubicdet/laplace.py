@@ -116,7 +116,7 @@ def minor(A: CubicMatrix, at: Index3) -> Scalar:
     that expand and cofactor share: the benchmark's traced reference pass
     (bench/run.py) reaches CubicMatrix.delete_sub only through this
     function and fails when nothing calls it.  Once that pass calls
-    delete_sub itself, this should read _memo too (ROADMAP item 7).
+    delete_sub itself, this should read _memo too (ROADMAP item 5).
     """
     return det_closed(A.delete_sub(at))
 

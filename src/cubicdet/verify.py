@@ -1,10 +1,10 @@
-"""Seeded random matrices and batch cross-checking of determinant paths.
+"""Cross-checking of determinant paths, on one matrix or a seeded batch.
 
-The generator is splitmix64, fixed so that a (order, seed, range) triple
-reproduces bit-identical matrices on any platform or language.  The
-cross-check evaluates every determinant path (closed form, permutation
-sum, each one-level layer expansion) plus nine derived algebraic laws,
-comparing everything exactly against the permutation oracle.
+The cross-check evaluates every determinant path (closed form,
+permutation sum, each one-level layer expansion) plus nine derived
+algebraic laws, comparing everything exactly against the permutation
+oracle.  A batch draws its matrices from core3d's seeded generator, so
+any failing trial is named by the GenSpec that regenerates it.
 
 Laplace path values are the layer sums of one shared table: each
 entry's contribution (sign * entry * minor, as ``expand`` traces it) is
@@ -22,17 +22,16 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import repeat
 
-from .core3d import _AXES, _PATHS, ZERO, Axis, CubicMatrix, Scalar, ScalarOverflowError, ShapeError
+from .core3d import (
+    _AXES, _PATHS, ZERO, Axis, CubicMatrix, GenSpec, Scalar, ScalarOverflowError, ShapeError, SplitMix64, random_cubic,
+)
 from .determinant import det_closed, det_permutation
 from .io import serialize_text
 from .laplace import _expansion_totals
 
 __all__ = [
-    "SplitMix64",
-    "GenSpec",
     "VerifyReport",
     "BatchSummary",
-    "random_cubic",
     "matrix_digest",
     "build_report",
     "cross_check",
@@ -49,66 +48,6 @@ _LAPLACE_NAMES = {
 _LAW_LAYER = 1
 _LAW_SWAP = (1, 2)
 _LAW_SCALE = Scalar(2)
-
-
-class SplitMix64:
-    """The splitmix64 sequence: a 64-bit counter mixed through two
-    multiply-xorshift rounds.  Tiny, dependency-free, and stable across
-    languages, which is all the golden files need."""
-
-    _MASK = (1 << 64) - 1
-    _GAMMA = 0x9E3779B97F4A7C15
-    _MIX1 = 0xBF58476D1CE4E5B9
-    _MIX2 = 0x94D049BB133111EB
-
-    def __init__(self, seed: int):
-        self.state = seed & self._MASK
-
-    def next(self) -> int:
-        self.state = (self.state + self._GAMMA) & self._MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * self._MIX1) & self._MASK
-        z = ((z ^ (z >> 27)) * self._MIX2) & self._MASK
-        return z ^ (z >> 31)
-
-
-class GenSpec(namedtuple("GenSpec", "order seed range")):
-    """Recipe for one reproducible random matrix.
-
-    Entries are drawn uniformly (up to modulo bias, which is irrelevant
-    for identity checks) from the integers in [-range, range].
-    """
-
-    __slots__ = ()
-    order: int
-    seed: int
-    range: int
-
-    def __new__(cls, order: int, seed: int, range: int):
-        if order not in (1, 2, 3):
-            raise ValueError(f"order must be 1, 2, or 3, got {order!r}")
-        if not 0 <= seed <= SplitMix64._MASK:
-            raise ValueError(f"seed must fit in 64 bits, got {seed!r}")
-        if range < 1:
-            raise ValueError(f"range must be >= 1, got {range!r}")
-        return tuple.__new__(cls, (order, seed, range))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)  # namedtuple's _make and _replace skip __new__
-
-    def __str__(self) -> str:
-        """The options of ``cubicdet gen`` that reproduce this matrix."""
-        return f"--order {self.order} --seed {self.seed} --range {self.range}"
-
-
-def random_cubic(spec: GenSpec) -> CubicMatrix:
-    """The matrix named by spec: splitmix64 outputs, consumed in
-    canonical (k-major) cell order, each mapped to (x mod (2R+1)) - R."""
-    rng = SplitMix64(spec.seed)
-    span = 2 * spec.range + 1
-    ints = [rng.next() % span - spec.range for _ in range(spec.order**3)]
-    return CubicMatrix._reduced(spec.order, 1, ints, range(len(ints)))
 
 
 def matrix_digest(A: CubicMatrix) -> str:

@@ -215,7 +215,7 @@ def test_criterion_7_io_and_cli_contracts(data_dir, tmp_path):
         paths = dict(real.paths)
         paths["closed"] = paths["closed"] + Scalar(1)
         fake = build_report(real.subject, real.det_value, paths, real.derived_laws)
-        mp.setattr("cubicdet.cli.cross_check", lambda A: fake)
+        mp.setattr("cubicdet.verify.cross_check", lambda A: fake)
         code, out, _ = _run_cli(["verify", str(e1_file)])
         checks.append(code == 1 and out.splitlines()[-1] == "FAIL")
 

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cubicdet import GenSpec, Scalar, build_report, cross_check, random_cubic, serialize_json, serialize_text
@@ -181,7 +181,7 @@ class TestVerify:
         paths = dict(real.paths)
         paths["closed"] = paths["closed"] + Scalar(1)
         fake = build_report(real.subject, real.det_value, paths, real.derived_laws)
-        monkeypatch.setattr("cubicdet.cli.cross_check", lambda A: fake)
+        monkeypatch.setattr("cubicdet.verify.cross_check", lambda A: fake)
         code, out, _ = run_cli(capsys, ["verify", e1_path])
         assert code == 1
         assert "path closed = -2 MISMATCH" in out
@@ -453,6 +453,73 @@ def test_integer_options_follow_the_grammar(token):
         assert _integer(token) == int(token)
 
 
+# Option values at the edges of the integer grammar: zero, ±1, the signed
+# and unsigned 64-bit limits, a literal past int()'s digit limit, and
+# tokens int() takes but the grammar does not.
+EDGES = ("0", "1", "-1", str(2**63), str(2**64), "9" * 5000, "0_5", " 5", "٣")
+
+
+@pytest.fixture(scope="module")
+def matrix_files(tmp_path_factory):
+    """One text, one JSON and one non-UTF-8 matrix file."""
+    root = tmp_path_factory.mktemp("matrices")
+    text, as_json, undecodable = root / "m.txt", root / "m.json", root / "bad.txt"
+    text.write_text("3\n3 0 -4\n2 5 -1\n0 3 -2\n\n-2 4 0\n-3 0 3\n-3 2 5\n\n5 1 0\n3 1 2\n0 4 3\n", encoding="utf-8")
+    as_json.write_text('{"order": 2, "layers": [[[1, 2], [3, 4]], [[5, "6/7"], [7, 8]]]}', encoding="utf-8")
+    undecodable.write_bytes(b"2\n4 -3\n-1 5\n\n-2 4\n-7 \xff3\n")
+    return tuple(str(p) for p in (text, as_json, undecodable))
+
+
+@st.composite
+def cli_argv(draw, files):
+    """An argv for one of the six subcommands, its values drawn from EDGES
+    or, so that commands also succeed, from the indices 1 to 3."""
+    edge = st.sampled_from(("1", "2", "3")) | st.sampled_from(EDGES)
+    file = draw(st.sampled_from(files))
+
+    def maybe(*argv):
+        return [a if isinstance(a, str) else draw(a) for a in argv] if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(("det", "minor", "cofactor", "expand", "verify", "gen")))
+    if command == "det":
+        method = st.sampled_from(("closed", "perm", "laplace"))
+        return ["det", file, *maybe("--method", method), *maybe("--axis", st.sampled_from("hpl")),
+                *maybe("--index", edge), *maybe("--trace"), *maybe("--json")]
+    if command in ("minor", "cofactor"):
+        argv = [command, file, draw(edge), draw(edge), draw(edge)]
+        if command == "cofactor":
+            argv += maybe("--convention", st.sampled_from(("expansion", "paper-def")))
+        return argv
+    if command == "expand":
+        return ["expand", file, *maybe("--axis", st.sampled_from("hpl")), *maybe("--index", edge)]
+    if command == "gen":
+        return ["gen", *maybe("--order", edge), *maybe("--seed", edge), *maybe("--range", edge)]
+    if draw(st.booleans()):
+        return ["verify", file, *maybe("--seed", edge)]
+    orders = st.lists(st.sampled_from(("2", "3", *EDGES)), min_size=1, max_size=2).map(",".join)
+    trials = st.sampled_from(("-1", "0", "1", "2"))  # keeps each batch small
+    return ["verify", "--random", "--trials", draw(trials), *maybe("--orders", orders),
+            *maybe("--seed", edge), *maybe("--range", edge)]
+
+
+# argparse's usage (its continuation lines indented) then its error line,
+# or the one error line that main prints.
+USAGE_ERROR = re.compile(r"usage: cubicdet[^\n]*\n(?: [^\n]*\n)*cubicdet(?: \w+)?: error: [^\n]*\n")
+MAIN_ERROR = re.compile(r"error: [^\n]*\n")
+
+
+# run_cli reads capsys out after every call, so one capsys serves every example.
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_invocation_exits_cleanly(capsys, matrix_files, data):
+    argv = data.draw(cli_argv(matrix_files))
+    code, out, err = run_cli(capsys, argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert USAGE_ERROR.fullmatch(err) or MAIN_ERROR.fullmatch(err), err
+    assert run_cli(capsys, argv) == (code, out, err)
+
+
 class TestDeterminism:
     def test_identical_invocations_identical_bytes(self, capsys, e2_path):
         first = run_cli(capsys, ["verify", e2_path])
@@ -509,9 +576,10 @@ loaded = set(sys.modules) - before
 print((code, sorted(m for m in loaded if m.partition(".")[0] == "cubicdet"), "json" in loaded))
 """
 
-# Each command loads only the modules it runs: core3d and io always,
-# determinant for a determinant, laplace for an expansion, minor or
-# cofactor, and verify (which needs all the others) for verify and gen.
+# Each command loads only the modules it runs: core3d and io always (gen,
+# whose generator lives in core3d, needs nothing more), determinant for a
+# determinant, laplace for an expansion, minor or cofactor, and verify
+# (which needs all the others) for verify.
 PARSE = ["cubicdet", "cubicdet.cli", "cubicdet.core3d", "cubicdet.io"]
 DETERMINANT = sorted(PARSE + ["cubicdet.determinant"])
 LAPLACE = sorted(DETERMINANT + ["cubicdet.laplace"])
@@ -524,7 +592,7 @@ COMMAND_MODULES = {
     "minor": (["minor", "{file}", "1", "2", "3"], LAPLACE),
     "cofactor": (["cofactor", "{file}", "1", "2", "3"], LAPLACE),
     "verify": (["verify", "{file}"], EVERYTHING),
-    "gen": (["gen", "--order", "3"], EVERYTHING),
+    "gen": (["gen", "--order", "3"], PARSE),
 }
 
 

@@ -57,13 +57,15 @@ def test_each_name_is_mapped_to_its_defining_module():
 
 def test_import_loads_no_submodule():
     # In a fresh interpreter: `import cubicdet` loads no submodule, and a
-    # name loads only its own module and what that module imports.
+    # name, or a submodule not yet imported, loads only its own module and
+    # what that module imports.
     probe = (
         "import sys, cubicdet\n"
         "def loaded(): return sorted(m for m in sys.modules if m.startswith('cubicdet.'))\n"
         "print(loaded())\n"
         "cubicdet.det_closed\n"
         "print(loaded())\n"
+        "print(cubicdet.laplace is sys.modules['cubicdet.laplace'], loaded())\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
@@ -74,7 +76,11 @@ def test_import_loads_no_submodule():
         timeout=60,
     )
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout == "[]\n['cubicdet.core3d', 'cubicdet.determinant']\n"
+    assert done.stdout == (
+        "[]\n"
+        "['cubicdet.core3d', 'cubicdet.determinant']\n"
+        "True ['cubicdet.core3d', 'cubicdet.determinant', 'cubicdet.laplace']\n"
+    )
 
 
 def test_dir_lists_every_name_and_unknown_names_raise():

@@ -270,7 +270,7 @@ MUTANTS = (
     ),
     Mutant(
         "gen-spec-rejects-the-top-seed",
-        "src/cubicdet/verify.py",
+        "src/cubicdet/core3d.py",
         "        if not 0 <= seed <= SplitMix64._MASK:",
         "        if not 0 <= seed < SplitMix64._MASK:",
         ("tests/test_verify.py::TestRandomCubic::test_spec_validation",),
@@ -367,6 +367,35 @@ MUTANTS = (
         "from .io import _INTEGER, ParseError, _json_scalar, parse_json, parse_text, serialize_text\n"
         "from . import laplace, verify\n",
         ("tests/test_cli.py::TestStartup::test_command_loads_only_what_it_runs[det]",),
+    ),
+    Mutant(
+        "gen-loads-the-cross-check",
+        "src/cubicdet/cli.py",
+        "def _cmd_gen(args, parser) -> int:\n",
+        "def _cmd_gen(args, parser) -> int:\n    from . import verify  # noqa: F401\n",
+        ("tests/test_cli.py::TestStartup::test_command_loads_only_what_it_runs[gen]",),
+    ),
+    Mutant(
+        "paper-def-note-before-the-entry-check",
+        "src/cubicdet/cli.py",
+        """    value = cofactor(A, Index3(args.i, args.j, args.k), convention)
+    if convention is SignConvention.PAPER_DEF:  # after the entry is checked: an error prints only itself
+        print(
+            "note: paper-def signs the minor with (-1)^(i+j+k); "
+            "layer expansions use the expansion sign (-1)^(j+k)",
+            file=sys.stderr,
+        )
+    print(value)
+""",
+        """    if convention is SignConvention.PAPER_DEF:
+        print(
+            "note: paper-def signs the minor with (-1)^(i+j+k); "
+            "layer expansions use the expansion sign (-1)^(j+k)",
+            file=sys.stderr,
+        )
+    print(cofactor(A, Index3(args.i, args.j, args.k), convention))
+""",
+        ("tests/test_cli.py::test_every_invocation_exits_cleanly",),
     ),
 )
 
