@@ -24,8 +24,8 @@ import argparse
 import os
 import sys
 
-from .core3d import Axis, CubicMatrix, GenSpec, Index3, ScalarOverflowError, ShapeError, random_cubic
-from .io import _INTEGER, ParseError, _json_scalar, parse_json, parse_text, serialize_text
+from .core3d import Axis, CubicMatrix, GenSpec, Index3, ScalarOverflowError, random_cubic
+from .io import _INTEGER, _json_scalar, parse_json, parse_text, serialize_text
 
 __all__ = ["main"]
 
@@ -295,7 +295,7 @@ def main(argv=None) -> int:
         # quietly, and point stdout at devnull for Python's final flush.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ParseError, ShapeError, ScalarOverflowError, IndexError, ValueError, OSError) as err:
+    except (ValueError, IndexError, ScalarOverflowError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

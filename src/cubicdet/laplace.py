@@ -22,13 +22,13 @@ minor keeps, whether a layer is valid); this module only signs and sums.
 The sums run as determinant's kernels, each compiled on its first use:
 ``_LAPLACE`` per (order, axis, index) from det_laplace's unrolled
 recursion, and ``_MINORS`` per order (all n**3 minors in one call) from
-``_minor_rows``, the closed form of order n-1 read through each cell's
-kept cells.  The recursion table is built from the layer geometry and
-sign_expansion alone, never from the closed-form or permutation tables,
-so det_laplace stays independent of the other two routes.  The minor
-kernel holds no expansion sign: expand and the cross-check's totals
-multiply by sign_expansion per entry, at call time, so a patched sign
-shows in the next call.
+``_minor_rows``, that recursion's order n-1 read through each cell's
+kept cells: the one minor formula here.  The recursion is built from the
+layer geometry and sign_expansion alone, never from the closed-form or
+permutation tables, so det_laplace and the minors stay independent of
+the other two routes.  The minor kernel holds no expansion sign: expand
+and the cross-check's totals multiply by sign_expansion per entry, at
+call time, so a patched sign shows in the next call.
 
 One _MINORS call fills a matrix's per-cell memo (see _memo), which
 expand, cofactor and the cross-check's totals read.  An entry's term
@@ -44,7 +44,7 @@ from enum import Enum
 
 from .core3d import _CELLS, _DEN_MAX, _LAYER_FLAT, _NUM_MAX, _NUM_MIN, _PATHS
 from .core3d import Axis, CubicMatrix, Index3, Scalar, ShapeError
-from .determinant import _FLAT, _expression, _Kernels, det_closed, sign_expansion, sign_paper_def
+from .determinant import _expression, _Kernels, det_closed, sign_expansion, sign_paper_def
 
 __all__ = [
     "SignConvention",
@@ -86,12 +86,37 @@ class ExpansionTrace(namedtuple("ExpansionTrace", "axis index terms total")):
     total: Scalar
 
 
+# Per (order, axis, index), det_laplace's recursion unrolled over flat
+# indices into the (order!)**2 rows (sign, f1, ..., fn) it sums.  Filled
+# at import by _fill_laplace_table, orders ascending.
+_LAPLACE_FLAT = {}
+
+
 def _minor_rows(order: int, f: int) -> tuple:
     """The minor of flat cell f as (sign, g1, ..., g(n-1)) rows over the
-    order-n matrix's own flat cells: _FLAT[n-1] read through f's kept cells."""
+    order-n matrix's own flat cells: _LAPLACE_FLAT's order-(n-1) expansion
+    along h:1 read through f's kept cells (an order-0 determinant is 1).
+    It calls no sign_expansion: a lazy _MINORS keeps the import's signs."""
     kept = _CELLS[order][f][1]
-    return tuple((sign, *[kept[g] for g in cells]) for sign, *cells in _FLAT[order - 1])
+    rows = _LAPLACE_FLAT[(order - 1, Axis.HORIZONTAL_LAYER, 1)] if order > 1 else ((1,),)
+    return tuple((sign, *[kept[g] for g in cells]) for sign, *cells in rows)
 
+
+def _fill_laplace_table() -> None:
+    """Each layer's rows: its cells' sign_expansion times their
+    _minor_rows, both read once per cell, at import, so no later patch
+    of sign_expansion is captured."""
+    for order in (1, 2, 3):
+        signs = [sign_expansion(at) for at, _ in _CELLS[order]]
+        terms = [[(s * sign, f, *cells) for sign, *cells in _minor_rows(order, f)] for f, s in enumerate(signs)]
+        for path in _PATHS[order]:
+            _LAPLACE_FLAT[(order, *path)] = tuple(row for f in _LAYER_FLAT[(order, *path)] for row in terms[f])
+
+
+_fill_laplace_table()
+
+# Per (order, axis, index), det_laplace's table as a kernel over A._ints.
+_LAPLACE = _Kernels(lambda key: _expression(_LAPLACE_FLAT[key]))
 
 # Per order, every flat cell's minor in flat order, as one kernel over
 # A._ints that returns them as a tuple of ints over A._scale**(n-1).
@@ -192,40 +217,14 @@ def _expansion_totals(A: CubicMatrix) -> list[Scalar]:
     return [trace.total for trace in expand_all(A)]
 
 
-def _laplace_table() -> dict:
-    """det_laplace's recursion, unrolled over flat indices into the
-    (order!)**2 rows (sign, f1, ..., fn) it sums per (order, axis, index).
-
-    Built from _LAYER_FLAT, _CELLS and sign_expansion alone, never from
-    _FLAT or perm_terms, so the routes stay independent; built at import,
-    so no later patch of sign_expansion is captured.
-    """
-    table = {}
-    for (order, axis, index), layer in _LAYER_FLAT.items():  # orders ascending
-        minor_rows = table.get((order - 1, axis, 1), ((1,),))  # an order-0 minor is 1: sign 1, no cells
-        rows = []
-        for f in layer:
-            at, kept = _CELLS[order][f]
-            s = sign_expansion(at)
-            rows += [(s * sign, f, *[kept[g] for g in cells]) for sign, *cells in minor_rows]
-        table[(order, axis, index)] = tuple(rows)
-    return table
-
-
-_LAPLACE_FLAT = _laplace_table()
-
-# Per (order, axis, index), det_laplace's table as a kernel over A._ints.
-_LAPLACE = _Kernels(lambda key: _expression(_LAPLACE_FLAT[key]))
-
-
 def det_laplace(A: CubicMatrix, axis: Axis = Axis.HORIZONTAL_LAYER, index: int = 1) -> Scalar:
     """Determinant by recursive layer expansion.
 
     An order-1 matrix is its own determinant (the base case).  Otherwise
     the fixed layer's entries are summed as sign * entry * det of the
-    deleted sub-matrix, recursing along the same axis at layer 1 (any
-    fixed choice is valid since the expansions agree).  The recursion
-    runs once, at import: this sums the signed monomials it reaches.
+    deleted sub-matrix, recursing along horizontal layer 1 (any fixed
+    choice is valid since the expansions agree).  The recursion runs
+    once, at import: this sums the signed monomials it reaches.
     """
     A._layer_cells(axis, index)  # validates the layer
     return Scalar(_LAPLACE[(A.order, axis, index)](A._ints), A._scale**A.order)

@@ -30,6 +30,7 @@ from cubicdet import (
     sign_paper_def,
 )
 from cubicdet import laplace
+from cubicdet.core3d import _CELLS
 from cubicdet.determinant import _flatten, perm_terms
 from cubicdet.laplace import _LAPLACE_FLAT, _expansion_totals
 
@@ -289,6 +290,20 @@ class TestDetLaplace:
         for (order, axis, index), rows in _LAPLACE_FLAT.items():
             assert len(rows) == math.factorial(order) ** 2
             assert monomials(rows) == monomials(_flatten(order, perm_terms(order))), (order, axis, index)
+
+    def test_minors_are_the_recursion_not_the_closed_form(self):
+        # Each cell's minor rows hold the permutation sum of order n-1
+        # over the cell's kept cells, and come from the recursion: laplace
+        # binds neither the closed-form tables nor the permutation terms.
+        def monomials(rows):
+            return Counter((sign, *sorted(cells)) for sign, *cells in rows)
+
+        for n in (2, 3):
+            reference = _flatten(n - 1, perm_terms(n - 1))
+            for f, (_, kept) in enumerate(_CELLS[n]):
+                through_kept = [(sign, *[kept[g] for g in cells]) for sign, *cells in reference]
+                assert monomials(laplace._minor_rows(n, f)) == monomials(through_kept), (n, f)
+        assert not [name for name in vars(laplace) if name in ("_FLAT", "perm_terms") or name.startswith("_TERMS")]
 
 
 class TestExpandAll:

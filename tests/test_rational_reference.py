@@ -178,6 +178,28 @@ def layer_cells(n, axis, index):
     return [(i, j, x) for i in r for j in r]
 
 
+@given(edge_cubics())
+def test_cross_check_raises_exactly_past_the_bounds(subject):
+    # cross_check reports det, -det and 2 * det, doubles layer 1 on each
+    # axis and builds every cell's minor and trace contribution: it
+    # raises exactly when one of those leaves the bounds, and otherwise
+    # every path is the reference determinant.
+    n, a = subject
+    det = leibniz(a, n)
+    minors = {(i, j, k): reference_minor(a, n, i, j, k) for (i, j, k) in a}
+    values = [det, -det, 2 * det, *minors.values()]
+    values += [2 * a[at] for axis in Axis for at in layer_cells(n, axis, 1)]
+    values += [(-1) ** (j + k) * a[(i, j, k)] * m for (i, j, k), m in minors.items()]
+    A = matrix(n, a)
+    if any(bound_error(v) for v in values):
+        with pytest.raises(ScalarOverflowError):
+            cross_check(A)
+    else:
+        report = cross_check(A)
+        assert {frac(v) for v in report.paths.values()} == {det}
+        assert report.overall
+
+
 @given(edge_cubics(), EDGE)
 def test_transforms_match_the_reference_up_to_the_bounds(subject, c):
     n, a = subject

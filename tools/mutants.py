@@ -94,6 +94,29 @@ MUTANTS = (
         ("tests/test_rational_reference.py::test_every_route_matches_the_reference",),
     ),
     Mutant(
+        "order-0-minor-negated",
+        "src/cubicdet/laplace.py",
+        "if order > 1 else ((1,),)",
+        "if order > 1 else ((-1,),)",
+        (
+            "tests/test_kernels.py::test_every_kernel_is_its_table",
+            "tests/test_laplace.py::TestDetLaplace::test_golden_all_paths",
+            "tests/test_laplace.py::TestDetLaplace::test_minors_are_the_recursion_not_the_closed_form",
+            "tests/test_rational_reference.py::test_every_route_matches_the_reference",
+        ),
+    ),
+    Mutant(
+        "minor-rows-read-cell-0",
+        "src/cubicdet/laplace.py",
+        "kept = _CELLS[order][f][1]\n    rows =",
+        "kept = _CELLS[order][0][1]\n    rows =",
+        (
+            "tests/test_kernels.py::test_every_kernel_is_its_table",
+            "tests/test_laplace.py::TestDetLaplace::test_table_has_the_permutation_monomials",
+            "tests/test_laplace.py::TestDetLaplace::test_minors_are_the_recursion_not_the_closed_form",
+        ),
+    ),
+    Mutant(
         "totals-no-bound-check",
         "src/cubicdet/laplace.py",
         "if _NUM_MIN <= min(minors) and max(minors) <= _NUM_MAX and _NUM_MIN <= min(terms) and max(terms) <= _NUM_MAX:",
@@ -363,8 +386,8 @@ MUTANTS = (
     Mutant(
         "cli-imports-every-module",
         "src/cubicdet/cli.py",
-        "from .io import _INTEGER, ParseError, _json_scalar, parse_json, parse_text, serialize_text\n",
-        "from .io import _INTEGER, ParseError, _json_scalar, parse_json, parse_text, serialize_text\n"
+        "from .io import _INTEGER, _json_scalar, parse_json, parse_text, serialize_text\n",
+        "from .io import _INTEGER, _json_scalar, parse_json, parse_text, serialize_text\n"
         "from . import laplace, verify\n",
         ("tests/test_cli.py::TestStartup::test_command_loads_only_what_it_runs[det]",),
     ),
