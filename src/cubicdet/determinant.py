@@ -13,20 +13,25 @@ Two independent evaluation routes live here:
 Kernels
 -------
 Every table of (sign, f1, ..., fn) rows over flat cells is evaluated by
-a kernel: the table written out as one straight-line expression
-``+a1*a5*a9-a2*...`` over local names, one per flat cell, and compiled
-with ``exec`` into a function of ``a``, the matrix's ``_ints``, that
-binds the names by one tuple unpack (``a0, a1, ..., aM, = a[:M+1]``,
-aM the highest cell named, so ``a`` may run past it): Python compiles
-plain names faster than ``a[f]`` subscripts.  A sign other than +1
-or -1 is written as a literal coefficient, so the kernel computes
-exactly its table, whatever the table says.  Compiling costs far more
-than one evaluation, so a :class:`_Kernels` cache compiles each kernel
-on its first use, per key, and never at import: a CLI command pays only
-for the kernels it runs.  Each route's kernel is built from that
-route's own table alone (``_FLAT`` here, ``perm_terms`` for the oracle,
-the unrolled recursion in laplace), so sharing the compiler couples the
-routes no more than sharing ``+`` and ``*`` does.
+a kernel, a function of ``a``, the matrix's ``_ints``.  A
+:class:`_Kernels` cache chooses the kernel by how often this process
+has looked its key up:
+
+* The first time, a plain loop over the rows: a one-shot CLI command
+  evaluates most of its kernels once, and compiling one costs far more
+  than one loop over its rows.
+* The second time, the table written out as one straight-line
+  expression ``+a1*a5*a9-a2*...`` over local names, one per flat cell,
+  compiled with ``exec`` and kept.  It binds the names by one tuple
+  unpack (``a0, a1, ..., aM, = a[:M+1]``, aM the highest cell the rows
+  name, so ``a`` may run past it): Python compiles plain names faster
+  than ``a[f]`` subscripts, and a key used twice is likely used often.
+
+Both sum exactly their table: a sign other than +1 or -1 is a literal
+coefficient.  Nothing compiles at import.  Each route's kernel is built
+from that route's own table alone (``_FLAT`` here, ``perm_terms`` for
+the oracle, the unrolled recursion in laplace), so sharing the kernels
+couples the routes no more than sharing ``+`` and ``*`` does.
 
 Sign functions
 --------------
@@ -53,7 +58,6 @@ expansions whenever the fixed layer index is even.
 from __future__ import annotations
 
 import itertools
-import re
 from functools import lru_cache
 
 from .core3d import CubicMatrix, Index3, Scalar, _flat, _index3
@@ -66,55 +70,35 @@ __all__ = [
     "sign_paper_def",
 ]
 
-# Term tables: (sign, ((i, j, k), ...)) with the position triples listed
-# with i ascending.  Transcribed literally; never derived at run time.
+# Term tables, written as the paper writes the closed forms: each term
+# a sign and its entries a<i><j><k>, i ascending.  Transcribed literally;
+# _terms reads them into (sign, ((i, j, k), ...)) rows and derives nothing.
 
-_TERMS_1 = ((1, ((1, 1, 1),)),)
 
-_TERMS_2 = (
-    (1, ((1, 1, 1), (2, 2, 2))),
-    (-1, ((1, 1, 2), (2, 2, 1))),
-    (-1, ((1, 2, 1), (2, 1, 2))),
-    (1, ((1, 2, 2), (2, 1, 1))),
-)
+def _terms(text: str) -> tuple:
+    sign, index = {"+": 1, "-": -1}, {"1": 1, "2": 2, "3": 3}
+    return tuple(
+        (sign[term[0]], tuple([(index[at[0]], index[at[1]], index[at[2]]) for at in term[2:].split("a")]))
+        for term in text.split()
+    )
 
-_TERMS_3 = (
-    (1, ((1, 1, 1), (2, 2, 2), (3, 3, 3))),
-    (-1, ((1, 1, 1), (2, 3, 2), (3, 2, 3))),
-    (-1, ((1, 1, 1), (2, 2, 3), (3, 3, 2))),
-    (1, ((1, 1, 1), (2, 3, 3), (3, 2, 2))),
-    (-1, ((1, 1, 2), (2, 2, 1), (3, 3, 3))),
-    (1, ((1, 1, 2), (2, 2, 3), (3, 3, 1))),
-    (1, ((1, 1, 2), (2, 3, 1), (3, 2, 3))),
-    (-1, ((1, 1, 2), (2, 3, 3), (3, 2, 1))),
-    (1, ((1, 1, 3), (2, 2, 1), (3, 3, 2))),
-    (-1, ((1, 1, 3), (2, 2, 2), (3, 3, 1))),
-    (-1, ((1, 1, 3), (2, 3, 1), (3, 2, 2))),
-    (1, ((1, 1, 3), (2, 3, 2), (3, 2, 1))),
-    (-1, ((1, 2, 1), (2, 1, 2), (3, 3, 3))),
-    (1, ((1, 2, 1), (2, 1, 3), (3, 3, 2))),
-    (1, ((1, 2, 1), (2, 3, 2), (3, 1, 3))),
-    (-1, ((1, 2, 1), (2, 3, 3), (3, 1, 2))),
-    (1, ((1, 2, 2), (2, 1, 1), (3, 3, 3))),
-    (-1, ((1, 2, 2), (2, 1, 3), (3, 3, 1))),
-    (-1, ((1, 2, 2), (2, 3, 1), (3, 1, 3))),
-    (1, ((1, 2, 2), (2, 3, 3), (3, 1, 1))),
-    (-1, ((1, 2, 3), (2, 1, 1), (3, 3, 2))),
-    (1, ((1, 2, 3), (2, 1, 2), (3, 3, 1))),
-    (1, ((1, 2, 3), (2, 3, 1), (3, 1, 2))),
-    (-1, ((1, 2, 3), (2, 3, 2), (3, 1, 1))),
-    (1, ((1, 3, 1), (2, 1, 2), (3, 2, 3))),
-    (-1, ((1, 3, 1), (2, 1, 3), (3, 2, 2))),
-    (-1, ((1, 3, 1), (2, 2, 2), (3, 1, 3))),
-    (1, ((1, 3, 1), (2, 2, 3), (3, 1, 2))),
-    (-1, ((1, 3, 2), (2, 1, 1), (3, 2, 3))),
-    (1, ((1, 3, 2), (2, 1, 3), (3, 2, 1))),
-    (1, ((1, 3, 2), (2, 2, 1), (3, 1, 3))),
-    (-1, ((1, 3, 2), (2, 2, 3), (3, 1, 1))),
-    (1, ((1, 3, 3), (2, 1, 1), (3, 2, 2))),
-    (-1, ((1, 3, 3), (2, 1, 2), (3, 2, 1))),
-    (-1, ((1, 3, 3), (2, 2, 1), (3, 1, 2))),
-    (1, ((1, 3, 3), (2, 2, 2), (3, 1, 1))),
+
+_TERMS_1 = _terms("+a111")
+
+_TERMS_2 = _terms("+a111a222 -a112a221 -a121a212 +a122a211")
+
+_TERMS_3 = _terms(
+    """
+    +a111a222a333 -a111a232a323 -a111a223a332 +a111a233a322
+    -a112a221a333 +a112a223a331 +a112a231a323 -a112a233a321
+    +a113a221a332 -a113a222a331 -a113a231a322 +a113a232a321
+    -a121a212a333 +a121a213a332 +a121a232a313 -a121a233a312
+    +a122a211a333 -a122a213a331 -a122a231a313 +a122a233a311
+    -a123a211a332 +a123a212a331 +a123a231a312 -a123a232a311
+    +a131a212a323 -a131a213a322 -a131a222a313 +a131a223a312
+    -a132a211a323 +a132a213a321 +a132a221a313 -a132a223a311
+    +a133a211a322 -a133a212a321 -a133a221a312 +a133a222a311
+    """
 )
 
 _TERMS = {1: _TERMS_1, 2: _TERMS_2, 3: _TERMS_3}
@@ -136,31 +120,58 @@ def _expression(table) -> str:
     )
 
 
-class _Kernels(dict):
-    """Compiled kernels by key, each compiled on its first use.
+def _loop(table, a) -> int:
+    """The same sum as _expression's, by a loop over the table's rows."""
+    total = 0
+    for sign, *cells in table:
+        term = sign
+        for f in cells:
+            term *= a[f]
+        total += term
+    return total
 
-    ``source(key)`` gives the kernel's expression in the names ``a<f>``,
-    built only from the package's own tables; the kernel is that
-    expression as a function of ``a``, which binds ``a<f>`` to ``a[f]``,
-    with no builtins in reach.
+
+class _Kernels(dict):
+    """Kernels by key, each compiled on its second use.
+
+    ``rows(key)`` gives the key's (sign, f1, ..., fn) table, built only
+    from the package's own tables, or with ``many`` a tuple of tables.
+    The key's kernel, a function of ``a``, a matrix's flat ints, returns
+    the table's sum, or the tuple of the tables' sums.  The first lookup
+    of a key returns a loop over the rows; the second compiles the
+    straight-line kernel (see source) and keeps it.
     """
 
-    def __init__(self, source):
+    def __init__(self, rows, many=False):
         super().__init__()
-        self.source = source
+        self.rows = rows
+        self.many = many
+        self.first = {}  # key -> rows(key), for the keys looked up once
+
+    def source(self, rows) -> str:
+        """The kernel of these rows as Python source: it binds a<f> to
+        a[f] for every f up to the highest cell named, and sums."""
+        tables = rows if self.many else (rows,)
+        size = 1 + max(f for table in tables for _, *cells in table for f in cells)
+        names = "".join(f"a{f}," for f in range(size))
+        sums = ",".join(map(_expression, tables)) + ("," if self.many else "")
+        return f"def kernel(a):\n    {names} = a[:{size}]\n    return {sums}"
 
     def __missing__(self, key):
-        source = self.source(key)
-        size = 1 + max(map(int, re.findall(r"a([0-9]+)", source)))
-        names = "".join(f"a{f}," for f in range(size))
+        rows = self.first.pop(key, None)
+        if rows is None:
+            rows = self.first[key] = self.rows(key)
+            if self.many:
+                return lambda a: tuple([_loop(table, a) for table in rows])
+            return lambda a: _loop(rows, a)
         namespace = {"__builtins__": {}}
-        exec(f"def kernel(a):\n    {names} = a[:{size}]\n    return {source}", namespace)
+        exec(self.source(rows), namespace)
         kernel = self[key] = namespace["kernel"]
         return kernel
 
 
 # The closed form of each order, as a kernel over the flat ints.
-_CLOSED = _Kernels(lambda order: _expression(_FLAT[order]))
+_CLOSED = _Kernels(_FLAT.__getitem__)
 
 
 def det_closed(A: CubicMatrix) -> Scalar:
@@ -202,7 +213,7 @@ def perm_terms(order: int) -> tuple:
 # The permutation sum of each order, as a kernel over the flat ints.
 # Derived from the permutations, never from the closed-form tables, so
 # that the cross-check compares two independent routes.
-_PERM = _Kernels(lambda order: _expression(_flatten(order, perm_terms(order))))
+_PERM = _Kernels(lambda order: _flatten(order, perm_terms(order)))
 
 
 def det_permutation(A: CubicMatrix) -> Scalar:

@@ -148,19 +148,24 @@ def parse_text(text: str) -> CubicMatrix:
     return CubicMatrix(order, layers)
 
 
-def _reduced_cells(A: CubicMatrix):
-    """Each entry of A as its reduced (num, den), in flat (k-major) order."""
+def _reduced_cells(A: CubicMatrix, whole) -> list:
+    """Each entry of A in flat (k-major) order: whole(v) if it is the
+    integer v, else the "p/q" text of its reduced fraction."""
     scale = A._scale
     if scale == 1:  # an integer matrix, as every random_cubic is: nothing to reduce
-        return zip(A._ints, [1] * len(A._ints))
-    return ((v // (g := math.gcd(v, scale)), scale // g) for v in A._ints)
+        return list(map(whole, A._ints))
+    cells = []
+    for v in A._ints:
+        g = math.gcd(v, scale)
+        cells.append(whole(v // g) if g == scale else f"{v // g}/{scale // g}")
+    return cells
 
 
 def serialize_text(A: CubicMatrix) -> str:
     """Canonical text form: single spaces, one blank line between
     blocks, reduced p/q literals, LF endings, one trailing newline."""
     n = A.order
-    cells = [str(num) if den == 1 else f"{num}/{den}" for num, den in _reduced_cells(A)]
+    cells = _reduced_cells(A, str)
     rows = [" ".join(cells[f : f + n]) for f in range(0, n**3, n)]
     blocks = ["\n".join(rows[r : r + n]) for r in range(0, n * n, n)]
     return f"{n}\n" + "\n\n".join(blocks) + "\n"
@@ -246,5 +251,5 @@ def serialize_json(A: CubicMatrix) -> str:
     integer entries as JSON integers, others as "p/q" strings."""
     import json
 
-    cells = [num if den == 1 else f"{num}/{den}" for num, den in _reduced_cells(A)]
+    cells = _reduced_cells(A, int)
     return json.dumps({"order": A.order, "layers": _nested(A.order, cells)})

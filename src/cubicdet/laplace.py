@@ -19,7 +19,7 @@ A trace lists its layer's cells in flat order (k, then i, then j).
 core3d answers every address question (which cells a layer holds and a
 minor keeps, whether a layer is valid); this module only signs and sums.
 
-The sums run as determinant's kernels, each compiled on its first use:
+The sums run as determinant's kernels, each compiled on its second use:
 ``_LAPLACE`` per (order, axis, index) from det_laplace's unrolled
 recursion, and ``_MINORS`` per order (all n**3 minors in one call) from
 ``_minor_rows``, that recursion's order n-1 read through each cell's
@@ -44,7 +44,7 @@ from enum import Enum
 
 from .core3d import _CELLS, _DEN_MAX, _LAYER_FLAT, _NUM_MAX, _NUM_MIN, _PATHS
 from .core3d import Axis, CubicMatrix, Index3, Scalar, ShapeError
-from .determinant import _expression, _Kernels, det_closed, sign_expansion, sign_paper_def
+from .determinant import _Kernels, det_closed, sign_expansion, sign_paper_def
 
 __all__ = [
     "SignConvention",
@@ -116,11 +116,11 @@ def _fill_laplace_table() -> None:
 _fill_laplace_table()
 
 # Per (order, axis, index), det_laplace's table as a kernel over A._ints.
-_LAPLACE = _Kernels(lambda key: _expression(_LAPLACE_FLAT[key]))
+_LAPLACE = _Kernels(_LAPLACE_FLAT.__getitem__)
 
 # Per order, every flat cell's minor in flat order, as one kernel over
 # A._ints that returns them as a tuple of ints over A._scale**(n-1).
-_MINORS = _Kernels(lambda order: "(" + ",".join(_expression(_minor_rows(order, f)) for f in range(order**3)) + ",)")
+_MINORS = _Kernels(lambda order: tuple(_minor_rows(order, f) for f in range(order**3)), many=True)
 
 
 def _memo(A: CubicMatrix) -> tuple:

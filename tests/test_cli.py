@@ -1,3 +1,4 @@
+import argparse
 import ast
 import io
 import json
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cubicdet import GenSpec, Scalar, build_report, cross_check, random_cubic, serialize_json, serialize_text
+from cubicdet import cli
 from cubicdet.cli import _integer, main
 from cubicdet.io import _INTEGER
 
@@ -544,22 +546,21 @@ print("hashlib" in sys.modules)
 """
 
 
-# Prints, per kernel cache, the keys compiled so far: after the import,
-# after one `det --method closed` of the file named in argv[1], and after
-# one `expand --axis h --index 1` of the same file.
+# Runs cubicdet.cli.main(argv[1:]) with stdout captured and prints, per
+# kernel cache, the keys compiled after the import, then the exit code,
+# stdout, and the keys compiled after the command.
 KERNEL_PROBE = """
-import sys
+import contextlib, io, sys
 import cubicdet.cli
 from cubicdet import determinant, laplace
 def compiled():
     modules = (determinant, laplace)
     caches = {n: c for m in modules for n, c in vars(m).items() if isinstance(c, determinant._Kernels)}
-    print({name: sorted(cache) for name, cache in caches.items()})
-compiled()
-cubicdet.cli.main(["det", sys.argv[1], "--method", "closed"])
-compiled()
-cubicdet.cli.main(["expand", sys.argv[1], "--axis", "h", "--index", "1"])
-compiled()
+    return {name: sorted(cache) for name, cache in caches.items()}
+before = compiled()
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cubicdet.cli.main(sys.argv[1:])
+print((before, code, out.getvalue(), compiled()))
 """
 
 
@@ -636,23 +637,79 @@ class TestStartup:
         assert done.stdout == "[]\nTrue\n"
 
     def test_kernels_compile_on_first_use(self, e2_path):
-        # Compiling a kernel costs far more than running it: the import
-        # compiles none, and one command only the kernels it runs.  An
-        # expansion gets all 27 minors of an order-3 matrix from one kernel.
+        # Compiling a kernel costs far more than one loop over its rows:
+        # the import compiles none, and a command only the kernels it
+        # runs twice.  verify evaluates the permutation sum on the matrix
+        # and on its nine transforms, and each other kernel once.
         src = Path(__file__).resolve().parents[1] / "src"
-        done = subprocess.run(
-            [sys.executable, "-c", KERNEL_PROBE, e2_path],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert (done.returncode, done.stderr) == (0, "")
-        after_import, printed, after_det, *trace, after_expand = done.stdout.splitlines()
-        caches = ast.literal_eval(after_import)
-        assert set(caches) == {"_CLOSED", "_PERM", "_LAPLACE", "_MINORS"}
-        assert all(keys == [] for keys in caches.values())
-        assert printed == "326"
-        assert ast.literal_eval(after_det) == {**caches, "_CLOSED": [3]}
-        assert (trace[0], trace[-1], len(trace)) == ("axis h index 1", "total=326", 11)
-        assert ast.literal_eval(after_expand) == {**caches, "_CLOSED": [3], "_MINORS": [3]}
+
+        def probe(*argv):
+            done = subprocess.run(
+                [sys.executable, "-c", KERNEL_PROBE, *argv],
+                env={**os.environ, "PYTHONPATH": str(src)},
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert (done.returncode, done.stderr) == (0, "")
+            return ast.literal_eval(done.stdout)
+
+        none = {"_CLOSED": [], "_PERM": [], "_LAPLACE": [], "_MINORS": []}
+        assert probe("det", e2_path, "--method", "closed") == (none, 0, "326\n", none)
+        before, code, out, after = probe("expand", e2_path, "--axis", "h", "--index", "1")
+        assert (before, code, out.splitlines()[-1], after) == (none, 0, "total=326", none)
+        before, code, out, after = probe("verify", e2_path)
+        assert (before, code, out.splitlines()[-1], after) == (none, 0, "PASS", {**none, "_PERM": [3]})
+
+    @pytest.mark.parametrize("command", COMMAND_MODULES)
+    def test_only_the_invoked_subparser_has_arguments(self, command, e2_path, capsys, monkeypatch):
+        # Every subcommand keeps its name and help, all that --help and a
+        # choice error print; the five not invoked hold only -h.
+        argv = [e2_path if a == "{file}" else a for a in COMMAND_MODULES[command][0]]
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(build(command)) or built[-1])
+        assert run_cli(capsys, argv)[0] == 0
+        options = {name: [a.option_strings for a in p._actions] for name, p in subparsers(built[0]).items()}
+        assert [name for name, held in options.items() if held == [["-h", "--help"]]] == [
+            name for name in options if name != argv[0]
+        ]
+        assert sorted(options) == sorted(COMMANDS)
+
+    def test_the_full_parser_holds_every_argument(self):
+        scoped = {name: subparsers(cli.build_parser(name))[name] for name in COMMANDS}
+        for name, p in subparsers(cli.build_parser()).items():
+            assert p.format_help() == scoped[name].format_help()
+            assert len(p._actions) > 1
+
+
+COMMANDS = ("det", "minor", "cofactor", "expand", "verify", "gen")
+
+
+def subparsers(parser):
+    """The parser's subcommand parsers by name."""
+    [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+# argv the scoped parser must answer as the full one does: it reads the
+# command as the first argument that is not an option.
+SCOPED_ARGV = {
+    "help": ["--help"],
+    **{f"{name}-help": [name, "--help"] for name in COMMANDS},
+    "no-command": [],
+    "unknown-command": ["bogus", "{file}"],
+    "help-before-det": ["-h", "det"],
+    "double-dash": ["--", "det", "{file}"],
+    "option-before-command": ["--json", "det", "{file}"],
+    "option-value-before-command": ["--method", "perm", "det", "{file}"],
+    "det-without-file": ["det"],
+}
+
+
+@pytest.mark.parametrize("argv", SCOPED_ARGV.values(), ids=SCOPED_ARGV)
+def test_scoped_parser_prints_what_the_full_parser_prints(argv, e2_path, capsys, monkeypatch):
+    argv = [e2_path if a == "{file}" else a for a in argv]
+    scoped = run_cli(capsys, argv)
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+    assert run_cli(capsys, argv) == scoped

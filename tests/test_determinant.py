@@ -21,7 +21,7 @@ from cubicdet import (
     sign_expansion,
     sign_paper_def,
 )
-from cubicdet.determinant import _TERMS_2, _TERMS_3
+from cubicdet.determinant import _TERMS_1, _TERMS_2, _TERMS_3, _terms
 
 
 class TestGoldenDeterminants:
@@ -68,8 +68,19 @@ class TestPermTerms:
         assert perm_terms(1) == ((1, ((1, 1, 1),)),)
 
     def test_matches_closed_form_tables(self):
-        assert set(perm_terms(2)) == set(_TERMS_2)
-        assert set(perm_terms(3)) == set(_TERMS_3)
+        # (n!)**2 distinct terms each, the permutation terms and no others.
+        for order, table, count in ((1, _TERMS_1, 1), (2, _TERMS_2, 4), (3, _TERMS_3, 36)):
+            assert len(table) == len(set(table)) == count, order
+            assert set(table) == set(perm_terms(order)), order
+
+    def test_closed_form_rows_list_i_ascending(self):
+        for order, table in ((1, _TERMS_1), (2, _TERMS_2), (3, _TERMS_3)):
+            for _, positions in table:
+                assert [i for i, _, _ in positions] == list(range(1, order + 1)), positions
+
+    def test_notation_reads_as_the_paper_writes_it(self):
+        assert _terms("+a111a222 -a112a221") == ((1, ((1, 1, 1), (2, 2, 2))), (-1, ((1, 1, 2), (2, 2, 1))))
+        assert _terms("\n  -a123\n") == ((-1, ((1, 2, 3),)),)
 
     def test_positions_are_bijections(self):
         for order in (1, 2, 3):

@@ -1,4 +1,5 @@
-"""Every compiled kernel against a plain loop over the table it was built from."""
+"""Every kernel, as first used and as compiled, against a plain loop over
+the table it was built from."""
 
 import re
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from cubicdet import determinant, laplace
 from cubicdet.core3d import _CELLS
-from cubicdet.determinant import _FLAT, _expression, _flatten, _Kernels, perm_terms
+from cubicdet.determinant import _FLAT, _flatten, _Kernels, perm_terms
 from cubicdet.laplace import _LAPLACE_FLAT
 
 # Every kernel cache with every key it answers.
@@ -35,6 +36,18 @@ def minors(n, a):
     return [loop_sum(_FLAT[n - 1], [a[g] for g in kept]) for _, kept in _CELLS[n]]
 
 
+def both_kernels(cache, key):
+    """A fresh copy of cache's first-use loop for key, and cache's compiled
+    kernel: the second lookup of a key compiles it, if the first did not."""
+    cache[key]
+    compiled = cache[key]
+    assert key in cache
+    fresh = _Kernels(cache.rows, cache.many)
+    first = fresh[key]
+    assert key not in fresh
+    return first, compiled
+
+
 # Values at and just past the signed 64-bit bounds, and far past them,
 # as explicit examples beside the drawn ints (which reach past 64 bits
 # too): a st.one_of over them costs more to draw than the test runs.
@@ -56,28 +69,41 @@ def test_keys_cover_every_kernel_cache():
 def test_every_kernel_is_its_table(ints):
     for n in (1, 2, 3):
         a = tuple(ints[: n**3])
-        assert determinant._CLOSED[n](a) == loop_sum(_FLAT[n], a), n
-        assert determinant._PERM[n](a) == loop_sum(_flatten(n, perm_terms(n)), a), n
+        for kernel in both_kernels(determinant._CLOSED, n):
+            assert kernel(a) == loop_sum(_FLAT[n], a), n
+        for kernel in both_kernels(determinant._PERM, n):
+            assert kernel(a) == loop_sum(_flatten(n, perm_terms(n)), a), n
     for key, rows in _LAPLACE_FLAT.items():
-        assert laplace._LAPLACE[key](ints[: key[0] ** 3]) == loop_sum(rows, ints), key
+        for kernel in both_kernels(laplace._LAPLACE, key):
+            assert kernel(ints[: key[0] ** 3]) == loop_sum(rows, ints), key
     for n in (2, 3):
         a = tuple(ints[: n**3])
-        assert laplace._MINORS[n](a) == tuple(minors(n, a)), n
+        for kernel in both_kernels(laplace._MINORS, n):
+            assert kernel(a) == tuple(minors(n, a)), n
 
 
 @example([(2, [0, 1]), (-3, [2]), (0, [3, 4, 5])], list(EDGES) + [-1])
 @given(st.lists(row, min_size=1, max_size=6), st.lists(st.integers(), min_size=8, max_size=8))
 def test_any_sign_is_a_literal_coefficient(rows, ints):
     # A sign other than +1 or -1, as a faulty table might hold, is kept:
-    # the kernel sums exactly what its table says.
+    # the kernel sums exactly what its table says, on first use and compiled.
     table = tuple((sign, *fs) for sign, fs in rows)
-    assert _Kernels(lambda _: _expression(table))[None](ints) == loop_sum(table, ints)
+    one, many = _Kernels(lambda _: table), _Kernels(lambda _: (table, table[::-1]), many=True)
+    for _ in range(2):
+        assert one[None](ints) == loop_sum(table, ints)
+        assert many[None](ints) == (loop_sum(table, ints),) * 2
+    assert (list(one), list(many)) == ([None], [None])
 
 
 def test_kernel_sources_are_arithmetic_on_a():
-    # exec only ever sees products of a<digits> and int literals joined
-    # by + and -, and for _MINORS, a parenthesised tuple of such sums.
+    # exec only ever sees one unpack of the names a0..aM, M the highest
+    # cell the rows name, and sums of products of them and int literals
+    # (for _MINORS, a tuple of such sums).
     for cache, keys in KEYS:
         for key in keys:
-            source = cache.source(key)
-            assert re.fullmatch(r"[-+*(),0-9]+", re.sub(r"a[0-9]+", "", source)), (key, source)
+            rows = cache.rows(key)
+            size = 1 + max(f for table in (rows if cache.many else (rows,)) for _, *fs in table for f in fs)
+            head, unpack, body = cache.source(rows).split("\n")
+            assert head == "def kernel(a):", key
+            assert unpack == "    " + "".join(f"a{f}," for f in range(size)) + f" = a[:{size}]", key
+            assert re.fullmatch(r"    return [-+*,0-9]+", re.sub(r"a[0-9]+", "", body)), (key, body)

@@ -149,8 +149,8 @@ MUTANTS = (
     Mutant(
         "terms3-flipped-sign",
         "src/cubicdet/determinant.py",
-        "(1, ((1, 1, 1), (2, 2, 2), (3, 3, 3))),",
-        "(-1, ((1, 1, 1), (2, 2, 2), (3, 3, 3))),",
+        "+a111a222a333",
+        "-a111a222a333",
         (
             "tests/test_determinant.py::TestPermTerms::test_matches_closed_form_tables",
             "tests/test_determinant.py::TestOracleAgreement::test_seeded_random",
@@ -165,7 +165,18 @@ MUTANTS = (
         (
             "tests/test_kernels.py::test_every_kernel_is_its_table",
             "tests/test_kernels.py::test_any_sign_is_a_literal_coefficient",
-            "tests/test_determinant.py::TestGoldenDeterminants::test_order3_example",
+            "tests/test_rational_reference.py::test_every_route_matches_the_reference",
+        ),
+    ),
+    Mutant(
+        "first-use-sum-drops-sign",
+        "src/cubicdet/determinant.py",
+        "        term = sign\n",
+        "        term = 1\n",
+        (
+            "tests/test_kernels.py::test_every_kernel_is_its_table",
+            "tests/test_kernels.py::test_any_sign_is_a_literal_coefficient",
+            "tests/test_cli.py::TestDet::test_default_method",
         ),
     ),
     Mutant(
@@ -221,8 +232,8 @@ MUTANTS = (
     Mutant(
         "reduced-cells-not-reducing",
         "src/cubicdet/io.py",
-        "return ((v // (g := math.gcd(v, scale)), scale // g) for v in A._ints)",
-        "return ((v, scale) for v in A._ints)",
+        "g = math.gcd(v, scale)\n",
+        "g = 1\n",
         (
             "tests/test_io.py::test_serialize_text_prints_each_reduced_entry",
             "tests/test_verify.py::TestMatrixDigest::test_pinned_rational_digest",
@@ -390,6 +401,13 @@ MUTANTS = (
         "from .io import _INTEGER, _json_scalar, parse_json, parse_text, serialize_text\n"
         "from . import laplace, verify\n",
         ("tests/test_cli.py::TestStartup::test_command_loads_only_what_it_runs[det]",),
+    ),
+    Mutant(
+        "parser-populates-wrong-command",
+        "src/cubicdet/cli.py",
+        'build_parser(next((arg for arg in argv if not arg.startswith("-")), ""))',
+        'build_parser(next(iter(argv), ""))',
+        ("tests/test_cli.py::test_scoped_parser_prints_what_the_full_parser_prints[option-before-command]",),
     ),
     Mutant(
         "gen-loads-the-cross-check",
