@@ -18,14 +18,17 @@ sorted by ``_flat``, each with the cells its minor keeps: those that
 share no coordinate with it), ``_LAYER_FLAT`` (each layer's cells: those
 whose fixed coordinate equals the index) and ``_PATHS`` (the h, p, l
 order of the 3n expansions).  ``_nested`` turns flat cells back into
-nested layers.  ``CubicMatrix._layer_cells`` checks every layer.
+nested layers.  ``CubicMatrix._layer_cells`` checks every layer.  The
+tables are keyed by ``Axis``, which hashes by identity: its members are
+singletons, and Enum's own hash is a Python method each lookup calls.
 
 Every value here is immutable after construction and every operation
 is pure: methods return new objects and never change the value of their
 inputs, so values can be shared freely between threads or tasks.  The
-one stateful object is the generator ``SplitMix64``: each ``next`` call
-advances it, so a stream belongs to one caller (``random_cubic`` makes
-its own).  The one private mutable slot is a matrix's per-cell memo
+one stateful object is the generator ``SplitMix64``: ``outputs(k)``, the
+one loop that writes the mix, yields k outputs and advances it, and
+``next`` takes one; a stream belongs to one caller (``random_cubic``
+makes its own).  The one private mutable slot is a matrix's per-cell memo
 (``_cell_memo``), which the laplace module fills on first read, in one
 call, with every cell's minor, which depends on the matrix value alone,
 and a slot per cell for its last trace term, which expand reuses only
@@ -205,6 +208,8 @@ class Axis(Enum):
     HORIZONTAL_LAYER = "h"
     VERTICAL_PAGE = "p"
     VERTICAL_LAYER = "l"
+
+    __hash__ = object.__hash__
 
     @classmethod
     def from_letter(cls, letter: str) -> "Axis":
@@ -410,7 +415,7 @@ class CubicMatrix:
         c = _to_scalar(c)
         # Over the common denominator scale * c.den, the layer's entries
         # gain the factor c.num and the others c.den.
-        ints = [c.den * v for v in self._ints]
+        ints = list(self._ints) if c.den == 1 else [c.den * v for v in self._ints]
         for f in layer:
             ints[f] = c.num * self._ints[f]
         return CubicMatrix._reduced(self.order, c.den * self._scale, ints, layer)
@@ -456,11 +461,17 @@ class SplitMix64:
         self.state = seed & self._MASK
 
     def next(self) -> int:
-        self.state = (self.state + self._GAMMA) & self._MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * self._MIX1) & self._MASK
-        z = ((z ^ (z >> 27)) * self._MIX2) & self._MASK
-        return z ^ (z >> 31)
+        return next(self.outputs(1))
+
+    def outputs(self, k: int):
+        """Yield the next k outputs, advancing the state before each."""
+        mask, gamma, mix1, mix2 = self._MASK, self._GAMMA, self._MIX1, self._MIX2
+        state = self.state
+        for _ in range(k):
+            self.state = state = (state + gamma) & mask
+            z = ((state ^ (state >> 30)) * mix1) & mask
+            z = ((z ^ (z >> 27)) * mix2) & mask
+            yield z ^ (z >> 31)
 
 
 class GenSpec(namedtuple("GenSpec", "order seed range")):
@@ -496,7 +507,6 @@ class GenSpec(namedtuple("GenSpec", "order seed range")):
 def random_cubic(spec: GenSpec) -> CubicMatrix:
     """The matrix named by spec: splitmix64 outputs, consumed in
     canonical (k-major) cell order, each mapped to (x mod (2R+1)) - R."""
-    rng = SplitMix64(spec.seed)
-    span = 2 * spec.range + 1
-    ints = [rng.next() % span - spec.range for _ in range(spec.order**3)]
+    span, r = 2 * spec.range + 1, spec.range
+    ints = [x % span - r for x in SplitMix64(spec.seed).outputs(spec.order**3)]
     return CubicMatrix._reduced(spec.order, 1, ints, range(len(ints)))

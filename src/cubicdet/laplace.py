@@ -21,14 +21,17 @@ minor keeps, whether a layer is valid); this module only signs and sums.
 
 The sums run as determinant's kernels, each compiled on its second use:
 ``_LAPLACE`` per (order, axis, index) from det_laplace's unrolled
-recursion, and ``_MINORS`` per order (all n**3 minors in one call) from
+recursion; ``_MINORS`` per order (all n**3 minors in one call) from
 ``_minor_rows``, that recursion's order n-1 read through each cell's
-kept cells: the one minor formula here.  The recursion is built from the
-layer geometry and sign_expansion alone, never from the closed-form or
-permutation tables, so det_laplace and the minors stay independent of
-the other two routes.  The minor kernel holds no expansion sign: expand
-and the cross-check's totals multiply by sign_expansion per entry, at
-call time, so a patched sign shows in the next call.
+kept cells: the one minor formula here, kept per cell at import in
+``_MINOR_ROWS``; and ``_TOTALS`` per order (all 3n layer sums of the
+per-cell terms in one call) from the layer geometry alone.  The
+recursion is built from the layer geometry and sign_expansion alone,
+never from the closed-form or permutation tables, so det_laplace, the
+minors and the totals stay independent of the other two routes.  The
+minor kernel holds no expansion sign: expand and the cross-check's
+totals multiply by sign_expansion per entry, at call time, so a patched
+sign shows in the next call.
 
 One _MINORS call fills a matrix's per-cell memo (see _memo), which
 expand, cofactor and the cross-check's totals read.  An entry's term
@@ -91,12 +94,16 @@ class ExpansionTrace(namedtuple("ExpansionTrace", "axis index terms total")):
 # at import by _fill_laplace_table, orders ascending.
 _LAPLACE_FLAT = {}
 
+# Per order, each flat cell's _minor_rows, in flat order.  Filled with
+# _LAPLACE_FLAT.
+_MINOR_ROWS = {}
+
 
 def _minor_rows(order: int, f: int) -> tuple:
     """The minor of flat cell f as (sign, g1, ..., g(n-1)) rows over the
     order-n matrix's own flat cells: _LAPLACE_FLAT's order-(n-1) expansion
     along h:1 read through f's kept cells (an order-0 determinant is 1).
-    It calls no sign_expansion: a lazy _MINORS keeps the import's signs."""
+    It calls no sign_expansion."""
     kept = _CELLS[order][f][1]
     rows = _LAPLACE_FLAT[(order - 1, Axis.HORIZONTAL_LAYER, 1)] if order > 1 else ((1,),)
     return tuple((sign, *[kept[g] for g in cells]) for sign, *cells in rows)
@@ -108,7 +115,8 @@ def _fill_laplace_table() -> None:
     of sign_expansion is captured."""
     for order in (1, 2, 3):
         signs = [sign_expansion(at) for at, _ in _CELLS[order]]
-        terms = [[(s * sign, f, *cells) for sign, *cells in _minor_rows(order, f)] for f, s in enumerate(signs)]
+        minors = _MINOR_ROWS[order] = tuple(_minor_rows(order, f) for f in range(order**3))
+        terms = [[(s * sign, f, *cells) for sign, *cells in minors[f]] for f, s in enumerate(signs)]
         for path in _PATHS[order]:
             _LAPLACE_FLAT[(order, *path)] = tuple(row for f in _LAYER_FLAT[(order, *path)] for row in terms[f])
 
@@ -120,7 +128,13 @@ _LAPLACE = _Kernels(_LAPLACE_FLAT.__getitem__)
 
 # Per order, every flat cell's minor in flat order, as one kernel over
 # A._ints that returns them as a tuple of ints over A._scale**(n-1).
-_MINORS = _Kernels(lambda order: tuple(_minor_rows(order, f) for f in range(order**3)), many=True)
+_MINORS = _Kernels(_MINOR_ROWS.__getitem__, many=True)
+
+# Per order, the 3n layer sums in _PATHS order, as one kernel over a list
+# of n**3 per-cell values: each layer's rows are (1, f) for its cells.
+_TOTALS = _Kernels(
+    lambda order: tuple(tuple((1, f) for f in _LAYER_FLAT[(order, *path)]) for path in _PATHS[order]), many=True
+)
 
 
 def _memo(A: CubicMatrix) -> tuple:
@@ -195,7 +209,7 @@ def _expansion_totals(A: CubicMatrix) -> list[Scalar]:
 
     An entry's term sign * entry * minor is the same in the three
     expansions through it, so each of the n**3 terms is computed once,
-    over _CELLS, and every expansion sums its _LAYER_FLAT cells.  As ints
+    over _CELLS, and one _TOTALS call sums every expansion's cells.  As ints
     over A._ints, a minor is scaled by _scale**(n-1) and a contribution
     by _scale**n.  The minors are the ones expand and cofactor read,
     from A's per-cell memo (see _memo).  The signs are read per entry,
@@ -213,7 +227,7 @@ def _expansion_totals(A: CubicMatrix) -> list[Scalar]:
         minors = _memo(A)[0]
         terms = [sign_expansion(at) * v * m for (at, _), v, m in zip(_CELLS[n], ints, minors)]
         if _NUM_MIN <= min(minors) and max(minors) <= _NUM_MAX and _NUM_MIN <= min(terms) and max(terms) <= _NUM_MAX:
-            return [Scalar(sum([terms[f] for f in _LAYER_FLAT[(n, axis, index)]]), den) for axis, index in _PATHS[n]]
+            return [Scalar(total, den) for total in _TOTALS[n](terms)]
     return [trace.total for trace in expand_all(A)]
 
 

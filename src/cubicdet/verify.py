@@ -8,19 +8,18 @@ any failing trial is named by the GenSpec that regenerates it.
 
 Laplace path values are the layer sums of one shared table: each
 entry's contribution (sign * entry * minor, as ``expand`` traces it) is
-computed once, and every path value sums the table over the path's
-layer, without building trace objects.  They come from one level rather
-than the recursive evaluator: a wrong sign on one entry shows up in
-exactly the three paths through that entry, while in the recursive
-evaluator an error of even multiplicity can cancel itself.  The
-recursive evaluator is checked against the traces in the test suite
-instead.
+computed once, and one kernel call (laplace's ``_TOTALS``) sums the
+table over every path's layer, without building trace objects.  They
+come from one level rather than the recursive evaluator: a wrong sign
+on one entry shows up in exactly the three paths through that entry,
+while in the recursive evaluator an error of even multiplicity can
+cancel itself.  The recursive evaluator is checked against the traces
+in the test suite instead.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import repeat
 
 from .core3d import (
     _AXES, _PATHS, ZERO, Axis, CubicMatrix, GenSpec, Scalar, ScalarOverflowError, ShapeError, SplitMix64, random_cubic,
@@ -42,6 +41,9 @@ __all__ = [
 _LAPLACE_NAMES = {
     order: tuple(f"laplace:{axis.letter}:{index}" for axis, index in _PATHS[order]) for order in (2, 3)
 }
+
+# Per axis, in _AXES order: the axis and the names of its scale, swap and zero laws.
+_LAWS = tuple((axis, f"scale:{axis.letter}", f"swap:{axis.letter}", f"zero:{axis.letter}") for axis in _AXES)
 
 # Layer transforms used by the derived-law checks: deterministic so the
 # whole report is a pure function of the subject matrix.
@@ -108,14 +110,14 @@ def cross_check(A: CubicMatrix) -> VerifyReport:
     paths.update(zip(_LAPLACE_NAMES[A.order], _expansion_totals(A)))
     laws = []
     a, b = _LAW_SWAP
-    for axis in _AXES:
+    for axis, scale_name, swap_name, zero_name in _LAWS:
         scaled = A.scale_layer(axis, _LAW_LAYER, _LAW_SCALE)
-        laws.append((f"scale:{axis.letter}", det_permutation(scaled) == _LAW_SCALE * det_value))
+        laws.append((scale_name, det_permutation(scaled) == _LAW_SCALE * det_value))
         swapped = A.swap_layers(axis, a, b)
         expected = det_value if axis is Axis.HORIZONTAL_LAYER else -det_value
-        laws.append((f"swap:{axis.letter}", det_permutation(swapped) == expected))
+        laws.append((swap_name, det_permutation(swapped) == expected))
         zeroed = A.scale_layer(axis, _LAW_LAYER, ZERO)
-        laws.append((f"zero:{axis.letter}", det_permutation(zeroed) == ZERO))
+        laws.append((zero_name, det_permutation(zeroed) == ZERO))
     return build_report(matrix_digest(A), det_value, paths, laws)
 
 
@@ -143,14 +145,13 @@ def batch_verify(orders, trials: int, seed: int, range: int) -> BatchSummary:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     if not 0 <= seed <= SplitMix64._MASK:
         raise ValueError(f"seed must fit in 64 bits, got {seed!r}")
-    # The range argument shadows the builtin here, hence repeat() for the loop.
     rng = SplitMix64(seed)
     run = 0
     failures = 0
     first_failure = None
     for order in orders:
-        for _ in repeat(None, trials):
-            spec = GenSpec(order, rng.next(), range)
+        for trial_seed in rng.outputs(trials):
+            spec = GenSpec(order, trial_seed, range)
             try:
                 report = cross_check(random_cubic(spec))
             except ScalarOverflowError as err:

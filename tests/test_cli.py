@@ -654,7 +654,7 @@ class TestStartup:
             assert (done.returncode, done.stderr) == (0, "")
             return ast.literal_eval(done.stdout)
 
-        none = {"_CLOSED": [], "_PERM": [], "_LAPLACE": [], "_MINORS": []}
+        none = {"_CLOSED": [], "_PERM": [], "_LAPLACE": [], "_MINORS": [], "_TOTALS": []}
         assert probe("det", e2_path, "--method", "closed") == (none, 0, "326\n", none)
         before, code, out, after = probe("expand", e2_path, "--axis", "h", "--index", "1")
         assert (before, code, out.splitlines()[-1], after) == (none, 0, "total=326", none)

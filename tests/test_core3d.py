@@ -1,4 +1,6 @@
+import copy
 import doctest
+import pickle
 
 import pytest
 
@@ -16,6 +18,8 @@ from cubicdet import (
     ShapeError,
     TraceTerm,
     VerifyReport,
+    det_laplace,
+    expand,
 )
 from cubicdet.core3d import _CELLS, _LAYER_FLAT, _PATHS
 
@@ -144,6 +148,18 @@ class TestIndex3:
 
 
 class TestAxis:
+    @pytest.mark.parametrize("axis", list(Axis))
+    def test_a_copied_member_is_the_member(self, axis, example2):
+        # Axis hashes by identity, so a copy must be the member itself.
+        for copied in (pickle.loads(pickle.dumps(axis)), copy.copy(axis), copy.deepcopy(axis)):
+            assert copied is axis
+            assert {axis: 1}[copied] == 1 and {copied: 1}[axis] == 1
+            assert hash(copied) == hash(axis)
+            assert example2.scale_layer(copied, 2, 3) == example2.scale_layer(axis, 2, 3)
+            assert example2.swap_layers(copied, 1, 3) == example2.swap_layers(axis, 1, 3)
+            assert expand(example2, copied, 2) == expand(example2, axis, 2)
+            assert det_laplace(example2, copied, 3) == det_laplace(example2, axis, 3) == Scalar(326)
+
     def test_letters(self):
         assert Axis.from_letter("h") is Axis.HORIZONTAL_LAYER
         assert Axis.from_letter("p") is Axis.VERTICAL_PAGE

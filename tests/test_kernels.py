@@ -17,6 +17,7 @@ KEYS = (
     (determinant._PERM, (1, 2, 3)),
     (laplace._LAPLACE, tuple(_LAPLACE_FLAT)),
     (laplace._MINORS, (2, 3)),
+    (laplace._TOTALS, (2, 3)),
 )
 
 
@@ -34,6 +35,14 @@ def loop_sum(table, a):
 def minors(n, a):
     """Each flat cell's minor: the closed form of order n-1 over its kept cells."""
     return [loop_sum(_FLAT[n - 1], [a[g] for g in kept]) for _, kept in _CELLS[n]]
+
+
+def layer_sums(n, a):
+    """The 3n layer sums of a, axes h, p, l and indices ascending, each
+    over the cells whose fixed coordinate (i, j or k) equals the index;
+    the cell at (i, j, k) is a[(k-1)*n*n + (i-1)*n + (j-1)]."""
+    at = [(i, j, k) for k in range(1, n + 1) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return tuple(sum(v for v, c in zip(a, at) if c[axis] == index) for axis in range(3) for index in range(1, n + 1))
 
 
 def both_kernels(cache, key):
@@ -80,6 +89,8 @@ def test_every_kernel_is_its_table(ints):
         a = tuple(ints[: n**3])
         for kernel in both_kernels(laplace._MINORS, n):
             assert kernel(a) == tuple(minors(n, a)), n
+        for kernel in both_kernels(laplace._TOTALS, n):
+            assert kernel(list(a)) == layer_sums(n, a), n
 
 
 @example([(2, [0, 1]), (-3, [2]), (0, [3, 4, 5])], list(EDGES) + [-1])

@@ -1,6 +1,8 @@
 import re
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cubicdet import (
     Axis,
@@ -34,6 +36,52 @@ class TestSplitMix64:
 
     def test_seed_wraps_to_64_bits(self):
         assert SplitMix64(1 << 64).next() == SplitMix64(0).next()
+
+    @example(0, 64)
+    @example(2**64 - 1, 64)
+    @example(2**64 - 1, 0)
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 64))
+    def test_outputs_are_the_successive_next_values(self, seed, count):
+        stream, stepped = SplitMix64(seed), SplitMix64(seed)
+        assert list(stream.outputs(count)) == [stepped.next() for _ in range(count)]
+        assert stream.state == stepped.state
+        assert stream.next() == stepped.next()
+
+
+def reference_splitmix64(state):
+    """The splitmix64 stream written out from its definition: add the
+    golden-ratio increment mod 2**64, then two xorshift-multiply rounds
+    and a final xorshift."""
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        yield z ^ (z >> 31)
+
+
+def test_random_cubic_follows_the_reference_stream():
+    # Cell order k, then i, then j; each output x becomes x mod (2R+1) - R.
+    seeds = reference_splitmix64(2101)
+    for t, seed in enumerate([0, 2**64 - 1] + [next(seeds) for _ in range(498)]):
+        order, r = t % 3 + 1, (1, 9, 2**62)[t // 3 % 3]
+        stream = reference_splitmix64(seed)
+        want = [Scalar(next(stream) % (2 * r + 1) - r) for _ in range(order**3)]
+        got = random_cubic(GenSpec(order, seed, r)).layers()
+        assert [v for block in got for row in block for v in row] == want, (order, seed, r)
+
+
+def test_batch_trials_follow_the_reference_stream(monkeypatch):
+    # Every trial's seed is the next output of the master seed's stream,
+    # across orders, and batch_verify builds each trial through the
+    # verify module's random_cubic.
+    import cubicdet.verify as verify_mod
+
+    specs = []
+    real = verify_mod.random_cubic
+    monkeypatch.setattr(verify_mod, "random_cubic", lambda spec: specs.append(spec) or real(spec))
+    stream = reference_splitmix64(2**64 - 1)
+    assert batch_verify((3, 2), 4, 2**64 - 1, 9).trials == 8
+    assert specs == [GenSpec(order, next(stream), 9) for order in (3, 3, 3, 3, 2, 2, 2, 2)]
 
 
 class TestRandomCubic:

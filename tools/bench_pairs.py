@@ -17,7 +17,8 @@ Every ``.pyc`` under both trees is deleted before each run, and runs get
 
 Per end-to-end metric the file records both sides' values, medians and
 quartiles, the change's relative shift (positive is worse), how many
-pairs the change won, and a verdict against the metric's bound:
+pairs the change won, the quartiles of the per-pair change/parent ratio
+(how widely the pairs spread), and a verdict against the metric's bound:
 ``unresolved`` when the parent's own IQR is wider than the bound,
 ``worse than bound`` when the shift exceeds it, else ``within bound``;
 ``gain`` when the change is better in at least nine of the ten pairs,
@@ -127,6 +128,7 @@ def _summary(parent: list[float], change: list[float], better: str, bound: float
         "change_quartiles": _quartiles(change),
         "shift": shift,
         "pair_wins": wins,
+        "pair_ratio_quartiles": _quartiles([c / p for p, c in zip(parent, change)]),
         "bound": bound,
         "verdict": verdict,
     }

@@ -317,6 +317,63 @@ MUTANTS = (
         ("tests/test_verify.py::TestBatchVerify::test_single_trial",),
     ),
     Mutant(
+        "totals-drop-a-row",
+        "src/cubicdet/laplace.py",
+        "tuple((1, f) for f in _LAYER_FLAT[(order, *path)])",
+        "tuple((1, f) for f in _LAYER_FLAT[(order, *path)][1:])",
+        (
+            "tests/test_kernels.py::test_every_kernel_is_its_table",
+            "tests/test_laplace.py::test_expansion_totals_are_the_traced_totals",
+        ),
+    ),
+    Mutant(
+        "totals-cell-in-the-wrong-layer",
+        "src/cubicdet/laplace.py",
+        "tuple((1, f) for f in _LAYER_FLAT[(order, *path)])",
+        "tuple((1, f or 1) for f in _LAYER_FLAT[(order, *path)])",
+        (
+            "tests/test_kernels.py::test_every_kernel_is_its_table",
+            "tests/test_laplace.py::test_expansion_totals_are_the_traced_totals",
+        ),
+    ),
+    Mutant(
+        "totals-layers-in-reverse-order",
+        "src/cubicdet/laplace.py",
+        "for path in _PATHS[order]), many=True",
+        "for path in _PATHS[order][::-1]), many=True",
+        (
+            "tests/test_kernels.py::test_every_kernel_is_its_table",
+            "tests/test_verify.py::TestCrossCheck::test_one_entry_sign_fault_is_localized",
+        ),
+    ),
+    Mutant(
+        "scale-layer-skips-the-denominator-when-it-matters",
+        "src/cubicdet/core3d.py",
+        "list(self._ints) if c.den == 1 else",
+        "list(self._ints) if c.den != 1 else",
+        (
+            "tests/test_core3d.py::TestLayerTransforms::test_scale_then_inverse_restores",
+            "tests/test_rational_reference.py::test_transforms_match_the_reference_up_to_the_bounds",
+        ),
+    ),
+    Mutant(
+        "stream-first-shift-31",
+        "src/cubicdet/core3d.py",
+        "z = ((state ^ (state >> 30)) * mix1) & mask",
+        "z = ((state ^ (state >> 31)) * mix1) & mask",
+        (
+            "tests/test_verify.py::TestSplitMix64::test_reference_vectors",
+            "tests/test_verify.py::test_random_cubic_follows_the_reference_stream",
+        ),
+    ),
+    Mutant(
+        "law-names-swapped",
+        "src/cubicdet/verify.py",
+        '(axis, f"scale:{axis.letter}", f"swap:{axis.letter}", f"zero:{axis.letter}")',
+        '(axis, f"swap:{axis.letter}", f"scale:{axis.letter}", f"zero:{axis.letter}")',
+        ("tests/test_verify.py::TestCrossCheck::test_order2_report",),
+    ),
+    Mutant(
         "trailing-blank-lines-step-by-2",
         "src/cubicdet/io.py",
         "        pos += 1\n    if pos < len(rows):",
