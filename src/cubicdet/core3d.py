@@ -22,6 +22,11 @@ nested layers.  ``CubicMatrix._layer_cells`` checks every layer.  The
 tables are keyed by ``Axis``, which hashes by identity: its members are
 singletons, and Enum's own hash is a Python method each lookup calls.
 
+A matrix holds its entries as ints over one common denominator.  One
+built by the constructor also keeps, in ``_entries``, the entry Scalars
+it was given (see CubicMatrix), so a parsed matrix's Scalars are not
+built a second time, with a second gcd, when they are read out.
+
 Every value here is immutable after construction and every operation
 is pure: methods return new objects and never change the value of their
 inputs, so values can be shared freely between threads or tasks.  The
@@ -298,7 +303,14 @@ class CubicMatrix:
     determinant monomial is a product of exactly ``order`` entries, so
     the determinant is the one of ``_ints`` divided by
     ``_scale**order``, and the determinant routes run on plain ints.
-    Scalars are built only for values read out of the matrix.
+
+    The constructor also keeps the entries it was given, as Scalars in
+    flat order, in ``_entries``; a Scalar entry is read as it is, and
+    only other entries are coerced.  ``_reduced`` sets ``_entries`` to
+    None.  ``get``, ``layers`` and ``expand`` read an entry from
+    ``_entries`` when it is set, and otherwise build it from the ints,
+    so either way it equals ``Scalar(_ints[f], _scale)``.  ``==``,
+    ``hash`` and the memo read only the ints.
 
     >>> B = A.scale_layer(Axis.VERTICAL_LAYER, 2, Scalar(1, 2))
     >>> B._scale, B._ints
@@ -307,7 +319,7 @@ class CubicMatrix:
     -7/2
     """
 
-    __slots__ = ("order", "_scale", "_ints", "_cell_memo")
+    __slots__ = ("order", "_scale", "_ints", "_entries", "_cell_memo")
 
     def __init__(self, order: int, layers):
         if not isinstance(order, int) or isinstance(order, bool) or order < 1:
@@ -333,11 +345,12 @@ class CubicMatrix:
                         f"vertical layer {k} row {i} has {len(values)} entries, "
                         f"expected {order}: {NOT_CUBIC_MESSAGE}"
                     )
-                cells.extend(_to_scalar(v) for v in values)
+                cells.extend([v if type(v) is Scalar else _to_scalar(v) for v in values])
         # The lcm of reduced denominators leaves no common factor to divide out.
         self.order = order
-        self._scale = math.lcm(*[c.den for c in cells])
-        self._ints = tuple([c.num * (self._scale // c.den) for c in cells])
+        self._scale = scale = math.lcm(*[c.den for c in cells])
+        self._ints = tuple([c.num * (scale // c.den) for c in cells])
+        self._entries = tuple(cells)
         self._cell_memo = None
 
     @classmethod
@@ -358,12 +371,13 @@ class CubicMatrix:
         m.order = order
         m._scale = scale
         m._ints = tuple(ints)
+        m._entries = None
         m._cell_memo = None
         return m
 
     def _entry_flat(self, at) -> int:
         """The flat index of the entry address ``at`` (see _index3)."""
-        at = _index3(at)
+        at = at if type(at) is Index3 else _index3(at)
         n = self.order
         if at.i > n or at.j > n or at.k > n:
             raise IndexError(f"entry index {at} out of range for an order-{n} matrix")
@@ -375,14 +389,21 @@ class CubicMatrix:
             raise ShapeError("an order-1 matrix has no sub-matrices to delete down to")
         return self._entry_flat(at)
 
+    def _entry(self, f: int) -> Scalar:
+        """The entry at flat index f: the kept Scalar, or one built from the int."""
+        entries = self._entries
+        return entries[f] if entries is not None else Scalar(self._ints[f], self._scale)
+
     def get(self, at: Index3) -> Scalar:
-        return Scalar(self._ints[self._entry_flat(at)], self._scale)
+        return self._entry(self._entry_flat(at))
 
     __getitem__ = get
 
     def layers(self) -> list[list[list[Scalar]]]:
         """Entries as nested lists indexed [k-1][i-1][j-1]."""
-        return _nested(self.order, [Scalar(v, self._scale) for v in self._ints])
+        entries = self._entries
+        cells = list(entries) if entries is not None else [Scalar(v, self._scale) for v in self._ints]
+        return _nested(self.order, cells)
 
     def scale(self, c) -> "CubicMatrix":
         """Entrywise scalar multiple."""

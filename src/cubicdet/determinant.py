@@ -228,11 +228,11 @@ def det_permutation(A: CubicMatrix) -> Scalar:
 def sign_expansion(at: Index3) -> int:
     """The layer-expansion sign (-1)**(j+k); independent of i.  ``at`` is
     an entry address as CubicMatrix.get takes it, with no order bound."""
-    at = _index3(at)
+    at = at if type(at) is Index3 else _index3(at)
     return -1 if (at.j + at.k) % 2 else 1
 
 
 def sign_paper_def(at: Index3) -> int:
     """The definitional cofactor sign (-1)**(i+j+k), of any entry address."""
-    at = _index3(at)
+    at = at if type(at) is Index3 else _index3(at)
     return -1 if (at.i + at.j + at.k) % 2 else 1

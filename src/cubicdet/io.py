@@ -10,21 +10,31 @@ Text format (mirrors how the vertical layers read side by side)::
     -7 3
 
 First non-blank line: the order n (1, 2, or 3).  Then n blocks, one per
-vertical layer k, separated by blank lines; each block is n lines of n
-whitespace-separated scalar literals.  A literal is an optionally signed
-integer, or ``p/q`` with positive q.  Floats do not exist in this format.
+vertical layer k, each n lines of n whitespace-separated scalar
+literals; blank lines between blocks are optional and may repeat.
+Lines end at LF (a CR before it is dropped); whitespace and "blank" are
+``str.split``'s and ``str.strip``'s, so a lone CR, a form feed or a
+non-ASCII space such as U+3000 separates literals, and a line of them
+is blank.  A literal is an optionally signed integer, or ``p/q`` with
+positive q.  Floats do not exist in this format.
 
 JSON format::
 
     {"order": 2, "layers": [[[4, -3], [-1, 5]], [[-2, 4], [-7, 3]]]}
 
 ``layers[k-1][i-1][j-1]`` is the entry at (i, j, k); values are JSON
-integers or ``"p/q"`` strings.  Floats are rejected outright (silent
-rounding would break exactness).
+integers or strings holding a text-format literal (``"p/q"``, or
+``"5"``).  Floats are rejected outright (silent rounding would break
+exactness).  Other keys are ignored, and of duplicate keys the last
+one counts.
 
 Serialization is canonical for both formats (equal matrices always
 produce byte-identical output) and ``parse(serialize(A)) == A`` holds
-exactly.  Every parse error names a 1-based location.
+exactly.  Every parse error names a 1-based location.  A literal's
+location is formatted only when the literal is rejected: _parse_literal
+raises _BadLiteral with the rest of the message, and the parser's loop,
+which knows the cell, prefixes it.  The parsers hand their Scalars to
+CubicMatrix, which keeps them (see core3d).
 """
 
 from __future__ import annotations
@@ -54,26 +64,33 @@ _LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
 _INTEGER = re.compile(r"[+-]?[0-9]+\Z")
 
 
-def _too_long(where: str, length: int) -> ParseError:
-    return ParseError(f"{where}: scalar literal of {length} characters is too long")
+def _too_long(token: str) -> str:
+    return f"scalar literal of {len(token)} characters is too long"
 
 
-def _parse_literal(token: str, where: str) -> Scalar:
+class _BadLiteral(Exception):
+    """A literal the grammar or the 64-bit bounds reject.  The message
+    lacks the location, which the caller prefixes, so that a literal
+    that parses never formats one."""
+
+
+def _parse_literal(token: str) -> Scalar:
     match = _LITERAL.match(token)
     if match is None:
-        raise ParseError(f"{where}: bad scalar {token!r} (expected an integer or p/q)")
+        raise _BadLiteral(f"bad scalar {token!r} (expected an integer or p/q)")
+    num, den = match.groups()
     try:
-        num = int(match.group(1))
-        den = 1 if match.group(2) is None else int(match.group(2))
+        num = int(num)
+        den = 1 if den is None else int(den)
     except ValueError:
         # Past the interpreter's int-conversion digit limit.
-        raise _too_long(where, len(token)) from None
+        raise _BadLiteral(_too_long(token)) from None
     if den == 0:
-        raise ParseError(f"{where}: zero denominator in {token!r}")
+        raise _BadLiteral(f"zero denominator in {token!r}")
     try:
         return Scalar(num, den)
     except ScalarOverflowError as err:
-        raise ParseError(f"{where}: {err}") from None
+        raise _BadLiteral(str(err)) from None
 
 
 def _parse_order_token(token: str, where: str) -> int:
@@ -83,7 +100,7 @@ def _parse_order_token(token: str, where: str) -> int:
         order = int(token)
     except ValueError:
         # Past the interpreter's int-conversion digit limit.
-        raise _too_long(where, len(token)) from None
+        raise ParseError(f"{where}: {_too_long(token)}") from None
     if order > 3:
         raise ParseError(f"{where}: order {order} not supported: {ORDER_TOO_HIGH_MESSAGE}")
     if order < 1:
@@ -129,12 +146,13 @@ def parse_text(text: str) -> CubicMatrix:
                     f"line {lineno}: vertical layer {k} row {i} has {len(tokens)} entries, "
                     f"expected {order}: {NOT_CUBIC_MESSAGE}"
                 )
-            block.append(
-                [
-                    _parse_literal(tok, f"line {lineno}: vertical layer {k} row {i} column {j}")
-                    for j, tok in enumerate(tokens, start=1)
-                ]
-            )
+            row = []
+            for j, tok in enumerate(tokens, start=1):
+                try:
+                    row.append(_parse_literal(tok))
+                except _BadLiteral as err:
+                    raise ParseError(f"line {lineno}: vertical layer {k} row {i} column {j}: {err}") from None
+            block.append(row)
             pos += 1
         layers.append(block)
 
@@ -230,12 +248,14 @@ def parse_json(text: str) -> CubicMatrix:
                 )
             row = []
             for j, raw in enumerate(raw_row, start=1):
-                where = f"vertical layer {k} row {i} column {j}"
-                if isinstance(raw, _Float):
-                    raise ParseError(f"{where}: float literal not permitted, got {str.__str__(raw)!r}")
-                if not isinstance(raw, str):
-                    raise ParseError(f"{where}: expected an integer or 'p/q' string, got {raw!r}")
-                row.append(_parse_literal(raw, where))
+                try:
+                    if isinstance(raw, _Float):
+                        raise _BadLiteral(f"float literal not permitted, got {str.__str__(raw)!r}")
+                    if not isinstance(raw, str):
+                        raise _BadLiteral(f"expected an integer or 'p/q' string, got {raw!r}")
+                    row.append(_parse_literal(raw))
+                except _BadLiteral as err:
+                    raise ParseError(f"vertical layer {k} row {i} column {j}: {err}") from None
             block.append(row)
         layers.append(block)
     return CubicMatrix(order, layers)

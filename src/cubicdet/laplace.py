@@ -179,8 +179,9 @@ def expand(A: CubicMatrix, axis: Axis, index: int) -> ExpansionTrace:
     determinant of A.  The sign is read per term, at call time.  The
     minors come from A's per-cell memo (see _memo), and so does each
     term when the memo holds one with that sign; otherwise the term is
-    built, and kept there.  A term whose minor or contribution leaves
-    64 bits raises and is never kept.
+    built, and kept there, its entry read as CubicMatrix.get reads it
+    (the Scalar a parsed or constructed matrix keeps).  A term whose
+    minor or contribution leaves 64 bits raises and is never kept.
     """
     n = A.order
     if n == 1:
@@ -188,18 +189,20 @@ def expand(A: CubicMatrix, axis: Axis, index: int) -> ExpansionTrace:
     cells = A._layer_cells(axis, index)
     minors, kept = _memo(A)
     ints = A._ints
+    table = _CELLS[n]
+    minor_den = A._scale ** (n - 1)
     den = A._scale**n
     terms = []
     total = 0
     for f in cells:
-        at = _CELLS[n][f][0]
+        at = table[f][0]
         sign = sign_expansion(at)
         contribution = sign * ints[f] * minors[f]
         total += contribution
         term = kept[f]
         if term is None or term.sign != sign:
-            minor_value = Scalar(minors[f], A._scale ** (n - 1))
-            term = kept[f] = TraceTerm(at, Scalar(ints[f], A._scale), sign, minor_value, Scalar(contribution, den))
+            minor_value = Scalar(minors[f], minor_den)
+            term = kept[f] = TraceTerm(at, A._entry(f), sign, minor_value, Scalar(contribution, den))
         terms.append(term)
     return ExpansionTrace(axis, index, tuple(terms), Scalar(total, den))
 

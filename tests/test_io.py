@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -9,12 +10,15 @@ from cubicdet import (
     GenSpec,
     ParseError,
     Scalar,
+    ScalarOverflowError,
+    expand,
     parse_json,
     parse_text,
     random_cubic,
     serialize_json,
     serialize_text,
 )
+from cubicdet.core3d import _PATHS
 from cubicdet.io import _json_scalar
 
 EXAMPLE1_TEXT = "2\n4 -3\n-1 5\n\n-2 4\n-7 3\n"
@@ -258,6 +262,83 @@ class TestJsonFormat:
             parse_json(f'{{"order": 1, "layers": [[["{huge}/3"]]]}}')
 
 
+# One bad literal per kind, with the message that follows its location.
+BAD_LITERALS = (
+    pytest.param("x", "bad scalar 'x' (expected an integer or p/q)", id="bad-scalar"),
+    pytest.param("3/0", "zero denominator in '3/0'", id="zero-denominator"),
+    pytest.param("7" * 5000, "scalar literal of 5000 characters is too long", id="too-long"),
+    pytest.param(str(2**63), f"numerator {2**63} outside the signed 64-bit range", id="numerator-overflow"),
+    pytest.param(f"1/{2**64}", f"denominator {2**64} outside the unsigned 64-bit range", id="denominator-overflow"),
+)
+
+# Cells (k, i, j) other than the first, whose coordinates together tell
+# the three loop variables apart.
+BAD_CELLS = ((2, 3, 2), (3, 1, 2))
+
+
+def order3_layers(k, i, j, literal):
+    """An order-3 matrix's layers of literals: 1 everywhere but (i, j, k)."""
+    layers = [[["1"] * 3 for _ in range(3)] for _ in range(3)]
+    layers[k - 1][i - 1][j - 1] = literal
+    return layers
+
+
+class TestLiteralErrorLocations:
+    @pytest.mark.parametrize("literal, message", BAD_LITERALS)
+    def test_text(self, literal, message):
+        for k, i, j in BAD_CELLS:
+            blocks = ["\n".join(" ".join(row) for row in block) for block in order3_layers(k, i, j, literal)]
+            # Line 1 is the order; each block is 3 lines and one blank.
+            line = 1 + 4 * (k - 1) + i
+            with pytest.raises(ParseError) as err:
+                parse_text("3\n" + "\n\n".join(blocks) + "\n")
+            assert str(err.value) == f"line {line}: vertical layer {k} row {i} column {j}: {message}"
+
+    @pytest.mark.parametrize(
+        "literal, message",
+        BAD_LITERALS
+        + (
+            pytest.param("2.5", "float literal not permitted, got '2.5'", id="float"),
+            pytest.param("true", "expected an integer or 'p/q' string, got True", id="not-a-string"),
+        ),
+    )
+    def test_json(self, literal, message):
+        for k, i, j in BAD_CELLS:
+            # Bare where JSON allows it (an integer of any length, 2.5,
+            # true), else a string.
+            bare = literal.isdigit() or literal in ("2.5", "true")
+            layers = order3_layers(k, i, j, literal if bare else json.dumps(literal))
+            text = '{"order": 3, "layers": ' + str(layers).replace("'", "") + "}"
+            with pytest.raises(ParseError) as err:
+                parse_json(text)
+            assert str(err.value) == f"vertical layer {k} row {i} column {j}: {message}"
+
+
+class TestAcceptedForms:
+    """Inputs outside the canonical layout that README §File formats
+    states are accepted."""
+
+    def test_blocks_need_no_blank_line_between_them(self, example1):
+        assert parse_text("2\n4 -3\n-1 5\n-2 4\n-7 3\n") == example1
+
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2028", "\u3000", "\v", "\x1c", "\r"])
+    def test_any_python_whitespace_separates_literals(self, space, example1):
+        assert parse_text(f"2\n4{space}-3\n-1{space}{space}5\n\n-2 4\n-7 3\n") == example1
+
+    def test_a_form_feed_line_is_a_blank_line(self, example1):
+        assert parse_text("2\n4 -3\n-1 5\n\f\n-2 4\n-7 3\n") == example1
+        # Inside a block it reads as a blank line does: a missing row.
+        with pytest.raises(ParseError, match="^line 3: vertical layer 1 is missing row 2"):
+            parse_text("2\n4 -3\n\f\n-1 5\n\n-2 4\n-7 3\n")
+
+    def test_a_json_entry_may_be_an_integer_string(self):
+        assert parse_json('{"order": 1, "layers": [[["5"]]]}') == CubicMatrix(1, [[[5]]])
+
+    def test_json_ignores_other_keys_and_takes_a_duplicate_key_last(self, example1):
+        doc = '{"order": 1, "note": [1.5], "layers": [[[1]]], "order": 2, "layers": ' + EXAMPLE1_JSON[23:]
+        assert parse_json(doc) == example1
+
+
 class TestCrossFormat:
     def test_formats_agree(self, example2):
         assert parse_json(serialize_json(example2)) == parse_text(serialize_text(example2))
@@ -381,3 +462,72 @@ def test_serialize_text_prints_each_reduced_entry(n, data):
     # And the JSON as built from the same Scalars, one _json_scalar() per entry.
     layers = [[[_json_scalar(v) for v in row] for row in block] for block in A.layers()]
     assert serialize_json(A) == json.dumps({"order": n, "layers": layers})
+
+
+def outcome(call, *args):
+    """call(*args), or the overflow it raises, as a comparable value."""
+    try:
+        return call(*args)
+    except ScalarOverflowError as err:
+        return ("overflow", str(err))
+
+
+def assert_kept_entries_are_the_matrix(A):
+    """A keeps one Scalar per flat cell, each the value its ints give, and
+    reads out as an equal matrix built through _reduced, which keeps none."""
+    assert list(A._entries) == [Scalar(v, A._scale) for v in A._ints]
+    B = CubicMatrix._reduced(A.order, A._scale, A._ints)
+    assert B == A and B._entries is None
+    assert A.layers() == B.layers()
+    cells = [(i, j, k) for k in range(1, A.order + 1) for i in range(1, A.order + 1) for j in range(1, A.order + 1)]
+    assert [A.get(at) for at in cells] == [B.get(at) for at in cells]
+    if A.order > 1:
+        for axis, index in _PATHS[A.order]:
+            assert outcome(expand, A, axis, index) == outcome(expand, B, axis, index)
+
+
+@given(cubics())
+def test_a_built_matrix_keeps_its_entries(A):
+    assert_kept_entries_are_the_matrix(A)
+
+
+@st.composite
+def literals(draw):
+    """(literal, value): a p/q or integer literal of a representable value,
+    often written out of canonical form: a common factor, leading zeros, a
+    plus sign, or a denominator of 1."""
+    value = draw(ENTRIES)
+    factor = draw(st.sampled_from((1, 1, 2, 3, 10**99)))
+    num, den = value.num * factor, value.den * factor
+    sign = "-" if num < 0 else draw(st.sampled_from(("", "+")))
+    zeros = st.sampled_from(("", "", "0", "00"))
+    literal = sign + draw(zeros) + str(abs(num))
+    if den != 1 or draw(st.booleans()):
+        literal += "/" + draw(zeros) + str(den)
+    return literal, value
+
+
+PINNED_LITERALS = (
+    ("2/4", Scalar(1, 2)),
+    ("-3/006", Scalar(-1, 2)),
+    ("0/5", Scalar(0)),
+    ("+7", Scalar(7)),
+    (f"{10**100}/{10**99}", Scalar(10)),
+)
+
+
+def json_literal(literal):
+    """The literal as JSON source: bare if JSON reads it as an integer, else a string."""
+    return literal if re.fullmatch(r"-?(0|[1-9][0-9]*)", literal) else json.dumps(literal)
+
+
+@given(st.integers(1, 3), st.data())
+def test_a_parsed_matrix_keeps_its_entries(n, data):
+    cells = data.draw(st.lists(st.one_of(literals(), st.sampled_from(PINNED_LITERALS)), min_size=n**3, max_size=n**3))
+    layers = [[[cells[(k * n + i) * n + j][0] for j in range(n)] for i in range(n)] for k in range(n)]
+    text = f"{n}\n" + "\n\n".join("\n".join(" ".join(row) for row in block) for block in layers) + "\n"
+    nested = str([[[json_literal(literal) for literal in row] for row in block] for block in layers]).replace("'", "")
+    doc = f'{{"order": {n}, "layers": {nested}}}'
+    for A in (parse_text(text), parse_json(doc)):
+        assert list(A._entries) == [value for _, value in cells]
+        assert_kept_entries_are_the_matrix(A)

@@ -37,8 +37,8 @@ MUTANTS = (
     Mutant(
         "lcm-as-max",
         "src/cubicdet/core3d.py",
-        "self._scale = math.lcm(*[c.den for c in cells])",
-        "self._scale = max([c.den for c in cells])",
+        "self._scale = scale = math.lcm(*[c.den for c in cells])",
+        "self._scale = scale = max([c.den for c in cells])",
         (
             "tests/test_core3d.py::TestLayerTransforms::test_results_keep_the_integer_view",
             "tests/test_determinant.py::TestGoldenDeterminants::test_rational_entries",
@@ -48,8 +48,8 @@ MUTANTS = (
     Mutant(
         "expand-minor-denominator",
         "src/cubicdet/laplace.py",
-        "Scalar(minors[f], A._scale ** (n - 1))",
-        "Scalar(minors[f], A._scale**n)",
+        "minor_den = A._scale ** (n - 1)",
+        "minor_den = A._scale**n",
         (
             "tests/test_rational_reference.py::test_every_route_matches_the_reference",
             "tests/test_laplace.py::test_expansion_totals_are_the_traced_totals",
@@ -372,6 +372,40 @@ MUTANTS = (
         '(axis, f"scale:{axis.letter}", f"swap:{axis.letter}", f"zero:{axis.letter}")',
         '(axis, f"swap:{axis.letter}", f"scale:{axis.letter}", f"zero:{axis.letter}")',
         ("tests/test_verify.py::TestCrossCheck::test_order2_report",),
+    ),
+    Mutant(
+        "kept-entry-off-by-one",
+        "src/cubicdet/core3d.py",
+        "return entries[f] if entries is not None",
+        "return entries[f - 1] if entries is not None",
+        (
+            "tests/test_io.py::test_a_built_matrix_keeps_its_entries",
+            "tests/test_io.py::test_a_parsed_matrix_keeps_its_entries",
+        ),
+    ),
+    Mutant(
+        "kept-entries-in-reverse-order",
+        "src/cubicdet/core3d.py",
+        "self._entries = tuple(cells)",
+        "self._entries = tuple(cells[::-1])",
+        (
+            "tests/test_io.py::test_a_built_matrix_keeps_its_entries",
+            "tests/test_io.py::test_a_parsed_matrix_keeps_its_entries",
+        ),
+    ),
+    Mutant(
+        "text-literal-location-column-plus-one",
+        "src/cubicdet/io.py",
+        'f"line {lineno}: vertical layer {k} row {i} column {j}: {err}"',
+        'f"line {lineno}: vertical layer {k} row {i} column {j + 1}: {err}"',
+        ("tests/test_io.py::TestLiteralErrorLocations::test_text[denominator-overflow]",),
+    ),
+    Mutant(
+        "json-literal-location-column-plus-one",
+        "src/cubicdet/io.py",
+        'f"vertical layer {k} row {i} column {j}: {err}"',
+        'f"vertical layer {k} row {i} column {j + 1}: {err}"',
+        ("tests/test_io.py::TestLiteralErrorLocations::test_json[float]",),
     ),
     Mutant(
         "trailing-blank-lines-step-by-2",
