@@ -30,8 +30,8 @@ has looked its key up:
 Both sum exactly their table: a sign other than +1 or -1 is a literal
 coefficient.  Nothing compiles at import.  Each route's kernel is built
 from that route's own table alone (``_FLAT`` here, ``perm_terms`` for
-the oracle, the unrolled recursion in laplace), so sharing the kernels
-couples the routes no more than sharing ``+`` and ``*`` does.
+the oracle, the recursion's minor rows in laplace), so sharing the
+kernels couples the routes no more than sharing ``+`` and ``*`` does.
 
 Sign functions
 --------------

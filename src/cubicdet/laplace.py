@@ -20,24 +20,23 @@ core3d answers every address question (which cells a layer holds and a
 minor keeps, whether a layer is valid); this module only signs and sums.
 
 The sums run as determinant's kernels, each compiled on its second use:
-``_LAPLACE`` per (order, axis, index) from det_laplace's unrolled
-recursion; ``_MINORS`` per order (all n**3 minors in one call) from
-``_minor_rows``, that recursion's order n-1 read through each cell's
-kept cells: the one minor formula here, kept per cell at import in
-``_MINOR_ROWS``; and ``_TOTALS`` per order (all 3n layer sums of the
-per-cell terms in one call) from the layer geometry alone.  The
-recursion is built from the layer geometry and sign_expansion alone,
-never from the closed-form or permutation tables, so det_laplace, the
-minors and the totals stay independent of the other two routes.  The
-minor kernel holds no expansion sign: expand and the cross-check's
-totals multiply by sign_expansion per entry, at call time, so a patched
-sign shows in the next call.
+``_MINORS`` per order (all n**3 minors in one call) from
+``_MINOR_ROWS``, the Laplace recursion one order down
+(``_expansion_rows``) read through each cell's kept cells, built at
+import: the one minor formula here; and ``_TOTALS`` per order (all 3n
+layer sums of the per-cell terms in one call) from the layer geometry
+alone.  The recursion is built from the layer geometry and
+sign_expansion alone, never from the closed-form or permutation tables,
+so det_laplace, the minors and the totals stay independent of the other
+two routes.  The minor kernel holds no expansion sign: det_laplace,
+expand and the cross-check's totals multiply by sign_expansion per
+entry, at call time, so a patched sign shows in the next call.
 
 One _MINORS call fills a matrix's per-cell memo (see _memo), which
-expand, cofactor and the cross-check's totals read.  An entry's term
-sign * entry * minor is the same in the three expansions through it, so
-expand keeps each term there too, reused only while the sign read at
-call time is the term's sign: the 3n expansions build n**3 terms.
+every sum here reads.  An entry's term sign * entry * minor is the same
+in the three expansions through it, so expand keeps each term there
+too, reused only while the sign read at call time is the term's sign:
+the 3n expansions build n**3 terms.
 """
 
 from __future__ import annotations
@@ -89,42 +88,36 @@ class ExpansionTrace(namedtuple("ExpansionTrace", "axis index terms total")):
     total: Scalar
 
 
-# Per (order, axis, index), det_laplace's recursion unrolled over flat
-# indices into the (order!)**2 rows (sign, f1, ..., fn) it sums.  Filled
-# at import by _fill_laplace_table, orders ascending.
-_LAPLACE_FLAT = {}
-
-# Per order, each flat cell's _minor_rows, in flat order.  Filled with
-# _LAPLACE_FLAT.
+# Per order, each flat cell's minor in flat order, as (sign, g1, ...,
+# g(n-1)) rows over the order-n matrix's own flat cells.
 _MINOR_ROWS = {}
 
 
-def _minor_rows(order: int, f: int) -> tuple:
-    """The minor of flat cell f as (sign, g1, ..., g(n-1)) rows over the
-    order-n matrix's own flat cells: _LAPLACE_FLAT's order-(n-1) expansion
-    along h:1 read through f's kept cells (an order-0 determinant is 1).
-    It calls no sign_expansion."""
-    kept = _CELLS[order][f][1]
-    rows = _LAPLACE_FLAT[(order - 1, Axis.HORIZONTAL_LAYER, 1)] if order > 1 else ((1,),)
-    return tuple((sign, *[kept[g] for g in cells]) for sign, *cells in rows)
+def _expansion_rows(order: int) -> tuple:
+    """The order-n determinant as (sign, f1, ..., fn) rows, by the
+    recursion det_laplace sums: along h:1, each cell's sign_expansion
+    times that cell's _MINOR_ROWS (an order-0 determinant is 1)."""
+    if order == 0:
+        return ((1,),)
+    table = _CELLS[order]
+    return tuple(
+        (sign_expansion(table[f][0]) * sign, f, *cells)
+        for f in _LAYER_FLAT[(order, Axis.HORIZONTAL_LAYER, 1)]
+        for sign, *cells in _MINOR_ROWS[order][f]
+    )
 
 
-def _fill_laplace_table() -> None:
-    """Each layer's rows: its cells' sign_expansion times their
-    _minor_rows, both read once per cell, at import, so no later patch
-    of sign_expansion is captured."""
+def _fill_minor_rows() -> None:
+    """Orders ascending, each cell's minor: the order-(n-1) _expansion_rows
+    read through its kept cells, signs read once, at import."""
     for order in (1, 2, 3):
-        signs = [sign_expansion(at) for at, _ in _CELLS[order]]
-        minors = _MINOR_ROWS[order] = tuple(_minor_rows(order, f) for f in range(order**3))
-        terms = [[(s * sign, f, *cells) for sign, *cells in minors[f]] for f, s in enumerate(signs)]
-        for path in _PATHS[order]:
-            _LAPLACE_FLAT[(order, *path)] = tuple(row for f in _LAYER_FLAT[(order, *path)] for row in terms[f])
+        rows = _expansion_rows(order - 1)
+        _MINOR_ROWS[order] = tuple(
+            tuple((sign, *[kept[g] for g in cells]) for sign, *cells in rows) for _, kept in _CELLS[order]
+        )
 
 
-_fill_laplace_table()
-
-# Per (order, axis, index), det_laplace's table as a kernel over A._ints.
-_LAPLACE = _Kernels(_LAPLACE_FLAT.__getitem__)
+_fill_minor_rows()
 
 # Per order, every flat cell's minor in flat order, as one kernel over
 # A._ints that returns them as a tuple of ints over A._scale**(n-1).
@@ -155,7 +148,7 @@ def minor(A: CubicMatrix, at: Index3) -> Scalar:
     that expand and cofactor share: the benchmark's traced reference pass
     (bench/run.py) reaches CubicMatrix.delete_sub only through this
     function and fails when nothing calls it.  Once that pass calls
-    delete_sub itself, this should read _memo too (ROADMAP item 5).
+    delete_sub itself, this should read _memo too (ROADMAP item 4.B).
     """
     return det_closed(A.delete_sub(at))
 
@@ -237,14 +230,16 @@ def _expansion_totals(A: CubicMatrix) -> list[Scalar]:
 def det_laplace(A: CubicMatrix, axis: Axis = Axis.HORIZONTAL_LAYER, index: int = 1) -> Scalar:
     """Determinant by recursive layer expansion.
 
-    An order-1 matrix is its own determinant (the base case).  Otherwise
-    the fixed layer's entries are summed as sign * entry * det of the
-    deleted sub-matrix, recursing along horizontal layer 1 (any fixed
-    choice is valid since the expansions agree).  The recursion runs
-    once, at import: this sums the signed monomials it reaches.
+    The fixed layer's entries are summed as sign * entry * minor, the
+    sign read at call time, each minor the order-(n-1) determinant by
+    the same recursion along horizontal layer 1 (any fixed choice is
+    valid since the expansions agree), from A's per-cell memo (see
+    _memo).  An order-1 matrix is its own determinant (the base case).
     """
-    A._layer_cells(axis, index)  # validates the layer
-    return Scalar(_LAPLACE[(A.order, axis, index)](A._ints), A._scale**A.order)
+    cells = A._layer_cells(axis, index)  # validates the layer
+    n, ints, table = A.order, A._ints, _CELLS[A.order]
+    minors = _memo(A)[0] if n > 1 else (1,)  # _MINORS has no order-1 kernel: its rows name no cell
+    return Scalar(sum([sign_expansion(table[f][0]) * ints[f] * minors[f] for f in cells]), A._scale**n)
 
 
 def expand_all(A: CubicMatrix) -> list[ExpansionTrace]:

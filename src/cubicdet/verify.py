@@ -13,8 +13,8 @@ table over every path's layer, without building trace objects.  They
 come from one level rather than the recursive evaluator: a wrong sign
 on one entry shows up in exactly the three paths through that entry,
 while in the recursive evaluator an error of even multiplicity can
-cancel itself.  The recursive evaluator is checked against the traces
-in the test suite instead.
+cancel itself.  det_laplace sums one layer of the same memo; the test
+suite checks it against the oracle and a Fraction reference.
 """
 
 from __future__ import annotations

@@ -522,6 +522,23 @@ def test_every_invocation_exits_cleanly(capsys, matrix_files, data):
     assert run_cli(capsys, argv) == (code, out, err)
 
 
+def test_the_transcript_replays_byte_for_byte(tmp_path, monkeypatch, capsys, data_dir):
+    # tests/data/cli_transcript.json, written by tools/cli_transcript.py:
+    # its input files, and per invocation the argv (paths relative to the
+    # directory holding those files), stdin, exit code, stdout and stderr.
+    # A change that alters output on purpose rewrites it with that tool.
+    transcript = json.loads((data_dir / "cli_transcript.json").read_text(encoding="utf-8"))
+    for name, text in transcript["files"].items():
+        (tmp_path / name).write_text(text, encoding="utf-8", errors="surrogateescape")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to it
+    for number, record in enumerate(transcript["records"]):
+        if record["stdin"] is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(record["stdin"]))
+        want = (record["code"], record["stdout"], record["stderr"])
+        assert run_cli(capsys, record["argv"]) == want, f"record {number}: {record['argv']} stdin={record['stdin']!r}"
+
+
 class TestDeterminism:
     def test_identical_invocations_identical_bytes(self, capsys, e2_path):
         first = run_cli(capsys, ["verify", e2_path])
@@ -548,19 +565,20 @@ print("hashlib" in sys.modules)
 
 # Runs cubicdet.cli.main(argv[1:]) with stdout captured and prints, per
 # kernel cache, the keys compiled after the import, then the exit code,
-# stdout, and the keys compiled after the command.
+# stdout, the keys compiled after the command, and the keys it looked up
+# only once.
 KERNEL_PROBE = """
 import contextlib, io, sys
 import cubicdet.cli
 from cubicdet import determinant, laplace
-def compiled():
-    modules = (determinant, laplace)
-    caches = {n: c for m in modules for n, c in vars(m).items() if isinstance(c, determinant._Kernels)}
-    return {name: sorted(cache) for name, cache in caches.items()}
-before = compiled()
+modules = (determinant, laplace)
+caches = {n: c for m in modules for n, c in vars(m).items() if isinstance(c, determinant._Kernels)}
+def keys(of):
+    return {name: sorted(of(cache)) for name, cache in caches.items()}
+before = keys(dict.keys)
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = cubicdet.cli.main(sys.argv[1:])
-print((before, code, out.getvalue(), compiled()))
+print((before, code, out.getvalue(), keys(dict.keys), keys(lambda cache: cache.first)))
 """
 
 
@@ -640,7 +658,9 @@ class TestStartup:
         # Compiling a kernel costs far more than one loop over its rows:
         # the import compiles none, and a command only the kernels it
         # runs twice.  verify evaluates the permutation sum on the matrix
-        # and on its nine transforms, and each other kernel once.
+        # and on its nine transforms, and each other kernel once.  A traced
+        # det --method laplace looks up the minors once: det_laplace fills
+        # the memo that the trace reads.
         src = Path(__file__).resolve().parents[1] / "src"
 
         def probe(*argv):
@@ -654,12 +674,16 @@ class TestStartup:
             assert (done.returncode, done.stderr) == (0, "")
             return ast.literal_eval(done.stdout)
 
-        none = {"_CLOSED": [], "_PERM": [], "_LAPLACE": [], "_MINORS": [], "_TOTALS": []}
-        assert probe("det", e2_path, "--method", "closed") == (none, 0, "326\n", none)
-        before, code, out, after = probe("expand", e2_path, "--axis", "h", "--index", "1")
-        assert (before, code, out.splitlines()[-1], after) == (none, 0, "total=326", none)
-        before, code, out, after = probe("verify", e2_path)
-        assert (before, code, out.splitlines()[-1], after) == (none, 0, "PASS", {**none, "_PERM": [3]})
+        none = {"_CLOSED": [], "_PERM": [], "_MINORS": [], "_TOTALS": []}
+        minors = {**none, "_MINORS": [3]}
+        assert probe("det", e2_path, "--method", "closed") == (none, 0, "326\n", none, {**none, "_CLOSED": [3]})
+        expand, traced = ["expand", e2_path, "--axis", "h", "--index", "1"], ["det", e2_path, "--method", "laplace", "--trace"]
+        for argv in (expand, traced):
+            before, code, out, after, once = probe(*argv)
+            assert (before, code, out.splitlines()[-1], after, once) == (none, 0, "total=326", none, minors), argv
+        before, code, out, after, once = probe("verify", e2_path)
+        once_each = {**none, "_CLOSED": [3], "_MINORS": [3], "_TOTALS": [3]}
+        assert (before, code, out.splitlines()[-1], after, once) == (none, 0, "PASS", {**none, "_PERM": [3]}, once_each)
 
     @pytest.mark.parametrize("command", COMMAND_MODULES)
     def test_only_the_invoked_subparser_has_arguments(self, command, e2_path, capsys, monkeypatch):

@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 from cubicdet import determinant, laplace
 from cubicdet.core3d import _CELLS
 from cubicdet.determinant import _FLAT, _flatten, _Kernels, perm_terms
-from cubicdet.laplace import _LAPLACE_FLAT
 
 # Every kernel cache with every key it answers.
 KEYS = (
     (determinant._CLOSED, (1, 2, 3)),
     (determinant._PERM, (1, 2, 3)),
-    (laplace._LAPLACE, tuple(_LAPLACE_FLAT)),
     (laplace._MINORS, (2, 3)),
     (laplace._TOTALS, (2, 3)),
 )
@@ -69,7 +67,6 @@ row = st.tuples(st.integers(-4, 4), st.lists(st.integers(0, 7), min_size=1, max_
 def test_keys_cover_every_kernel_cache():
     caches = [v for module in (determinant, laplace) for v in vars(module).values() if isinstance(v, _Kernels)]
     assert sorted(map(id, caches)) == sorted(id(cache) for cache, _ in KEYS)
-    assert len(_LAPLACE_FLAT) == 18
 
 
 @example([EDGES[f % len(EDGES)] for f in range(27)])
@@ -82,9 +79,6 @@ def test_every_kernel_is_its_table(ints):
             assert kernel(a) == loop_sum(_FLAT[n], a), n
         for kernel in both_kernels(determinant._PERM, n):
             assert kernel(a) == loop_sum(_flatten(n, perm_terms(n)), a), n
-    for key, rows in _LAPLACE_FLAT.items():
-        for kernel in both_kernels(laplace._LAPLACE, key):
-            assert kernel(ints[: key[0] ** 3]) == loop_sum(rows, ints), key
     for n in (2, 3):
         a = tuple(ints[: n**3])
         for kernel in both_kernels(laplace._MINORS, n):

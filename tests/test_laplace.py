@@ -32,7 +32,7 @@ from cubicdet import (
 from cubicdet import laplace
 from cubicdet.core3d import _CELLS
 from cubicdet.determinant import _flatten, perm_terms
-from cubicdet.laplace import _LAPLACE_FLAT, _expansion_totals
+from cubicdet.laplace import _expansion_totals
 
 
 class TestMinor:
@@ -265,7 +265,12 @@ class TestDetLaplace:
         assert det_laplace(example2) == Scalar(326)
 
     def test_order1_base_case(self):
-        assert det_laplace(CubicMatrix(1, [[[5]]])) == Scalar(5)
+        # An order-1 matrix is its entry along every layer, on every call
+        # and for every matrix: it never reaches _MINORS, which cannot
+        # compile rows that name no cell.
+        for entry in (Scalar(5), Scalar(-7, 2), Scalar(2**63 - 1, 2**64 - 1)):
+            for axis in Axis:
+                assert det_laplace(CubicMatrix(1, [[[entry]]]), axis, 1) == entry
 
     def test_matches_oracle_seeded(self):
         for order in (2, 3):
@@ -281,15 +286,16 @@ class TestDetLaplace:
             det_laplace(example2, Axis.VERTICAL_LAYER, 4)
 
     def test_table_has_the_permutation_monomials(self):
-        # The table is derived from the layer structure alone; its rows
-        # list the layer entry first, so compare them as sorted cells.
+        # Each order's recursion along h:1 is derived from the layer
+        # structure alone; its rows list the layer entry first, so
+        # compare them as sorted cells.
         def monomials(rows):
             return Counter((sign, *sorted(cells)) for sign, *cells in rows)
 
-        assert len(_LAPLACE_FLAT) == 18
-        for (order, axis, index), rows in _LAPLACE_FLAT.items():
+        for order in (1, 2, 3):
+            rows = laplace._expansion_rows(order)
             assert len(rows) == math.factorial(order) ** 2
-            assert monomials(rows) == monomials(_flatten(order, perm_terms(order))), (order, axis, index)
+            assert monomials(rows) == monomials(_flatten(order, perm_terms(order))), order
 
     def test_minors_are_the_recursion_not_the_closed_form(self):
         # Each cell's minor rows hold the permutation sum of order n-1
@@ -302,7 +308,7 @@ class TestDetLaplace:
             reference = _flatten(n - 1, perm_terms(n - 1))
             for f, (_, kept) in enumerate(_CELLS[n]):
                 through_kept = [(sign, *[kept[g] for g in cells]) for sign, *cells in reference]
-                assert monomials(laplace._minor_rows(n, f)) == monomials(through_kept), (n, f)
+                assert monomials(laplace._MINOR_ROWS[n][f]) == monomials(through_kept), (n, f)
         assert not [name for name in vars(laplace) if name in ("_FLAT", "perm_terms") or name.startswith("_TERMS")]
 
 
@@ -362,11 +368,11 @@ def _outcome(call, *args):
 
 @given(edge_cubics())
 def test_memo_answers_as_a_fresh_matrix(A):
-    # expand and cofactor share one per-cell memo on the matrix object:
-    # in either call order, each call answers, or raises, exactly as the
-    # same call on a fresh equal matrix, whose memo is empty.
+    # det_laplace, expand and cofactor share one per-cell memo on the
+    # matrix object: in either call order, each call answers, or raises,
+    # exactly as the same call on a fresh equal matrix, whose memo is empty.
     n = A.order
-    expansions = [(expand, axis, index) for axis in Axis for index in range(1, n + 1)]
+    expansions = [(call, axis, index) for call in (det_laplace, expand) for axis in Axis for index in range(1, n + 1)]
     cells = [
         (call, Index3(i, j, k), *convention)
         for k, i, j in product(range(1, n + 1), repeat=3)
@@ -385,10 +391,13 @@ def test_memo_answers_as_a_fresh_matrix(A):
 
 def test_expand_reads_the_sign_at_call_time(example2, monkeypatch):
     # The memo holds entries and minors, never signs: a sign patched
-    # after an expansion shows in the next expansion of the same object.
+    # after an expansion shows in the next expansion of the same object,
+    # and in the next det_laplace.
     before = expand(example2, Axis.HORIZONTAL_LAYER, 1)
     assert example2._cell_memo is not None
+    assert det_laplace(example2, Axis.VERTICAL_PAGE, 2) == Scalar(326)
     monkeypatch.setattr(laplace, "sign_expansion", lambda at: -sign_expansion(at))
+    assert det_laplace(example2, Axis.VERTICAL_PAGE, 2) == det_laplace(example2) == Scalar(-326)
     after = expand(example2, Axis.HORIZONTAL_LAYER, 1)
     assert [t.sign for t in after.terms] == [-t.sign for t in before.terms]
     assert [t.contribution for t in after.terms] == [-t.contribution for t in before.terms]

@@ -179,6 +179,29 @@ def layer_cells(n, axis, index):
 
 
 @given(edge_cubics())
+def test_every_route_raises_exactly_past_the_bounds(subject):
+    # det_closed, det_permutation and det_laplace on each of the 3n
+    # layers (one matrix object, so det_laplace fills and then reads the
+    # memo) each return the reference determinant, or raise Scalar's
+    # message for it exactly when it leaves the bounds.
+    n, a = subject
+    det = leibniz(a, n)
+    error = bound_error(det)
+    A = matrix(n, a)
+    routes = {"closed": lambda: det_closed(A), "permutation": lambda: det_permutation(A)}
+    for axis in Axis:
+        for index in range(1, n + 1):
+            routes[f"laplace:{axis.letter}:{index}"] = lambda axis=axis, index=index: det_laplace(A, axis, index)
+    for name, route in routes.items():
+        if error:
+            with pytest.raises(ScalarOverflowError) as info:
+                route()
+            assert str(info.value) == error, name
+        else:
+            assert frac(route()) == det, name
+
+
+@given(edge_cubics())
 def test_cross_check_raises_exactly_past_the_bounds(subject):
     # cross_check reports det, -det and 2 * det, doubles layer 1 on each
     # axis and builds every cell's minor and trace contribution: it

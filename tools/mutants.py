@@ -89,15 +89,52 @@ MUTANTS = (
     Mutant(
         "det-laplace-denominator",
         "src/cubicdet/laplace.py",
-        "_LAPLACE[(A.order, axis, index)](A._ints), A._scale**A.order)",
-        "_LAPLACE[(A.order, axis, index)](A._ints), A._scale ** (A.order - 1))",
-        ("tests/test_rational_reference.py::test_every_route_matches_the_reference",),
+        "for f in cells]), A._scale**n)",
+        "for f in cells]), A._scale ** (n - 1))",
+        (
+            "tests/test_rational_reference.py::test_every_route_matches_the_reference",
+            "tests/test_rational_reference.py::test_every_route_raises_exactly_past_the_bounds",
+        ),
+    ),
+    Mutant(
+        "det-laplace-no-order-1-base-case",
+        "src/cubicdet/laplace.py",
+        "minors = _memo(A)[0] if n > 1 else (1,)",
+        "minors = _memo(A)[0]",
+        ("tests/test_laplace.py::TestDetLaplace::test_order1_base_case",),
+    ),
+    Mutant(
+        "det-laplace-reads-cell-0s-minor",
+        "src/cubicdet/laplace.py",
+        "* ints[f] * minors[f] for f in cells]",
+        "* ints[f] * minors[0] for f in cells]",
+        (
+            "tests/test_laplace.py::TestDetLaplace::test_golden_all_paths",
+            "tests/test_rational_reference.py::test_every_route_raises_exactly_past_the_bounds",
+        ),
+    ),
+    Mutant(
+        "det-laplace-unsigned",
+        "src/cubicdet/laplace.py",
+        "sum([sign_expansion(table[f][0]) * ints[f] * minors[f]",
+        "sum([ints[f] * minors[f]",
+        (
+            "tests/test_laplace.py::TestDetLaplace::test_golden_all_paths",
+            "tests/test_laplace.py::TestDetLaplace::test_matches_oracle_seeded",
+        ),
+    ),
+    Mutant(
+        "det-laplace-sign-read-at-import",
+        "src/cubicdet/laplace.py",
+        "index: int = 1) -> Scalar:",
+        "index: int = 1, sign_expansion=sign_expansion) -> Scalar:",
+        ("tests/test_laplace.py::test_expand_reads_the_sign_at_call_time",),
     ),
     Mutant(
         "order-0-minor-negated",
         "src/cubicdet/laplace.py",
-        "if order > 1 else ((1,),)",
-        "if order > 1 else ((-1,),)",
+        "        return ((1,),)",
+        "        return ((-1,),)",
         (
             "tests/test_kernels.py::test_every_kernel_is_its_table",
             "tests/test_laplace.py::TestDetLaplace::test_golden_all_paths",
@@ -108,8 +145,8 @@ MUTANTS = (
     Mutant(
         "minor-rows-read-cell-0",
         "src/cubicdet/laplace.py",
-        "kept = _CELLS[order][f][1]\n    rows =",
-        "kept = _CELLS[order][0][1]\n    rows =",
+        "for sign, *cells in rows) for _, kept in _CELLS[order]",
+        "for sign, *cells in rows) for _, kept in [_CELLS[order][0]] * order**3",
         (
             "tests/test_kernels.py::test_every_kernel_is_its_table",
             "tests/test_laplace.py::TestDetLaplace::test_table_has_the_permutation_monomials",
