@@ -15,10 +15,7 @@ io, which every command uses (gen needs nothing more), and each command
 imports what it runs when it runs; json loads only for JSON input or
 --json output.  What a command imports that way stays out of this
 module's globals, so a rebinding of the name in its own module (a patch
-of cubicdet.verify.cross_check, say) reaches every call.  The parser
-main builds holds only the invoked command's arguments: the other five
-keep their names and help, so --help and usage errors print what the
-full parser prints.
+of cubicdet.verify.cross_check, say) reaches every call.
 """
 
 from __future__ import annotations
@@ -222,10 +219,10 @@ def _cmd_gen(args, parser) -> int:
     return 0
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The CLI's parser.  Every subcommand has its name and help, all that
-    --help and a choice error print; only the named one gets its
-    arguments, or every one when no command is named."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, with every subcommand and its arguments.  A
+    command gets its own subparser as args.parser, so a usage error it
+    raises prints that subcommand's usage."""
     parser = argparse.ArgumentParser(
         prog="cubicdet",
         description="Exact determinants of cubic (n x n x n) matrices of orders 1-3.",
@@ -233,10 +230,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def subcommand(name, summary, func):
-        """The subcommand's parser if it gets its arguments, else None."""
         p = sub.add_parser(name, help=summary)
-        if command is not None and command != name:
-            return None
         p.set_defaults(func=func, parser=p)
         return p
 
@@ -252,51 +246,47 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         p.add_argument("j", type=_integer)
         p.add_argument("k", type=_integer)
 
-    if p_det := subcommand("det", "determinant of a matrix file", _cmd_det):
-        p_det.add_argument("file", help="matrix file (text or JSON), or - for stdin")
-        p_det.add_argument("--method", choices=("closed", "perm", "laplace"), default="closed",
-                           help="closed-form table (default), permutation sum, or recursive expansion")
-        add_axis_flags(p_det, required=False)
-        p_det.add_argument("--trace", action="store_true",
-                           help="print the per-term expansion trace (laplace method only)")
-        p_det.add_argument("--json", action="store_true", help="machine-readable output")
+    p_det = subcommand("det", "determinant of a matrix file", _cmd_det)
+    p_det.add_argument("file", help="matrix file (text or JSON), or - for stdin")
+    p_det.add_argument("--method", choices=("closed", "perm", "laplace"), default="closed",
+                       help="closed-form table (default), permutation sum, or recursive expansion")
+    add_axis_flags(p_det, required=False)
+    p_det.add_argument("--trace", action="store_true",
+                       help="print the per-term expansion trace (laplace method only)")
+    p_det.add_argument("--json", action="store_true", help="machine-readable output")
 
-    if p_minor := subcommand("minor", "minor of one entry", _cmd_minor):
-        add_entry(p_minor)
+    p_minor = subcommand("minor", "minor of one entry", _cmd_minor)
+    add_entry(p_minor)
 
-    if p_cof := subcommand("cofactor", "signed minor of one entry", _cmd_cofactor):
-        add_entry(p_cof)
-        p_cof.add_argument("--convention", choices=("expansion", "paper-def"), default="expansion",
-                           help="sign convention: (-1)^(j+k) (default) or (-1)^(i+j+k)")
+    p_cof = subcommand("cofactor", "signed minor of one entry", _cmd_cofactor)
+    add_entry(p_cof)
+    p_cof.add_argument("--convention", choices=("expansion", "paper-def"), default="expansion",
+                       help="sign convention: (-1)^(j+k) (default) or (-1)^(i+j+k)")
 
-    if p_exp := subcommand("expand", "full single-layer expansion trace", _cmd_expand):
-        p_exp.add_argument("file")
-        add_axis_flags(p_exp, required=True)
+    p_exp = subcommand("expand", "full single-layer expansion trace", _cmd_expand)
+    p_exp.add_argument("file")
+    add_axis_flags(p_exp, required=True)
 
-    if p_ver := subcommand("verify", "cross-check all determinant paths and laws", _cmd_verify):
-        p_ver.add_argument("file", nargs="?", help="matrix file to cross-check (omit with --random)")
-        p_ver.add_argument("--random", action="store_true",
-                           help="batch-verify seeded random matrices instead of a file")
-        p_ver.add_argument("--orders", help="comma-separated orders (default 2,3)")
-        p_ver.add_argument("--trials", type=_integer, help="trials per order (default 100)")
-        p_ver.add_argument("--seed", type=_integer, help="master seed (default 0)")
-        p_ver.add_argument("--range", type=_integer, help="entries drawn from [-range, range] (default 9)")
+    p_ver = subcommand("verify", "cross-check all determinant paths and laws", _cmd_verify)
+    p_ver.add_argument("file", nargs="?", help="matrix file to cross-check (omit with --random)")
+    p_ver.add_argument("--random", action="store_true",
+                       help="batch-verify seeded random matrices instead of a file")
+    p_ver.add_argument("--orders", help="comma-separated orders (default 2,3)")
+    p_ver.add_argument("--trials", type=_integer, help="trials per order (default 100)")
+    p_ver.add_argument("--seed", type=_integer, help="master seed (default 0)")
+    p_ver.add_argument("--range", type=_integer, help="entries drawn from [-range, range] (default 9)")
 
-    if p_gen := subcommand("gen", "emit a seeded random matrix in canonical text form", _cmd_gen):
-        p_gen.add_argument("--order", type=_integer, required=True, help="matrix order (1, 2, or 3)")
-        p_gen.add_argument("--seed", type=_integer, default=0, help="generator seed (default 0)")
-        p_gen.add_argument("--range", type=_integer, default=9,
-                           help="entries drawn from [-range, range] (default 9)")
+    p_gen = subcommand("gen", "emit a seeded random matrix in canonical text form", _cmd_gen)
+    p_gen.add_argument("--order", type=_integer, required=True, help="matrix order (1, 2, or 3)")
+    p_gen.add_argument("--seed", type=_integer, default=0, help="generator seed (default 0)")
+    p_gen.add_argument("--range", type=_integer, default=9,
+                       help="entries drawn from [-range, range] (default 9)")
 
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # The top-level parser has no option that takes a value, so argparse
-    # reads its first argument that is not an option as the command.
-    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), ""))
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args, args.parser)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit

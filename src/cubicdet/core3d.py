@@ -508,6 +508,10 @@ class GenSpec(namedtuple("GenSpec", "order seed range")):
     range: int
 
     def __new__(cls, order: int, seed: int, range: int):
+        if not (type(order) is type(seed) is type(range) is int) and any(
+            isinstance(x, bool) or not isinstance(x, int) for x in (order, seed, range)
+        ):
+            raise TypeError(f"order, seed and range must be ints, got ({order!r},{seed!r},{range!r})")
         if order not in (1, 2, 3):
             raise ValueError(f"order must be 1, 2, or 3, got {order!r}")
         if not 0 <= seed <= SplitMix64._MASK:

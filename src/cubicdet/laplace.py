@@ -158,6 +158,8 @@ def cofactor(A: CubicMatrix, at: Index3, convention: SignConvention = SignConven
     the minor read from A's per-cell memo (see _memo): the minor_value of
     the cell's kept term, whatever its sign, or else built from the int."""
     f = A._minor_flat(at)
+    if not isinstance(convention, SignConvention):
+        raise TypeError(f"convention must be a SignConvention, got {convention!r}")
     minors, kept = _memo(A)
     value = Scalar(minors[f], A._scale ** (A.order - 1)) if kept[f] is None else kept[f].minor_value
     at = _CELLS[A.order][f][0]

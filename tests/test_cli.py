@@ -1,4 +1,3 @@
-import argparse
 import ast
 import io
 import json
@@ -13,7 +12,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cubicdet import GenSpec, Scalar, build_report, cross_check, random_cubic, serialize_json, serialize_text
-from cubicdet import cli
 from cubicdet.cli import _integer, main
 from cubicdet.io import _INTEGER
 
@@ -684,56 +682,3 @@ class TestStartup:
         before, code, out, after, once = probe("verify", e2_path)
         once_each = {**none, "_CLOSED": [3], "_MINORS": [3], "_TOTALS": [3]}
         assert (before, code, out.splitlines()[-1], after, once) == (none, 0, "PASS", {**none, "_PERM": [3]}, once_each)
-
-    @pytest.mark.parametrize("command", COMMAND_MODULES)
-    def test_only_the_invoked_subparser_has_arguments(self, command, e2_path, capsys, monkeypatch):
-        # Every subcommand keeps its name and help, all that --help and a
-        # choice error print; the five not invoked hold only -h.
-        argv = [e2_path if a == "{file}" else a for a in COMMAND_MODULES[command][0]]
-        built, build = [], cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(build(command)) or built[-1])
-        assert run_cli(capsys, argv)[0] == 0
-        options = {name: [a.option_strings for a in p._actions] for name, p in subparsers(built[0]).items()}
-        assert [name for name, held in options.items() if held == [["-h", "--help"]]] == [
-            name for name in options if name != argv[0]
-        ]
-        assert sorted(options) == sorted(COMMANDS)
-
-    def test_the_full_parser_holds_every_argument(self):
-        scoped = {name: subparsers(cli.build_parser(name))[name] for name in COMMANDS}
-        for name, p in subparsers(cli.build_parser()).items():
-            assert p.format_help() == scoped[name].format_help()
-            assert len(p._actions) > 1
-
-
-COMMANDS = ("det", "minor", "cofactor", "expand", "verify", "gen")
-
-
-def subparsers(parser):
-    """The parser's subcommand parsers by name."""
-    [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return action.choices
-
-
-# argv the scoped parser must answer as the full one does: it reads the
-# command as the first argument that is not an option.
-SCOPED_ARGV = {
-    "help": ["--help"],
-    **{f"{name}-help": [name, "--help"] for name in COMMANDS},
-    "no-command": [],
-    "unknown-command": ["bogus", "{file}"],
-    "help-before-det": ["-h", "det"],
-    "double-dash": ["--", "det", "{file}"],
-    "option-before-command": ["--json", "det", "{file}"],
-    "option-value-before-command": ["--method", "perm", "det", "{file}"],
-    "det-without-file": ["det"],
-}
-
-
-@pytest.mark.parametrize("argv", SCOPED_ARGV.values(), ids=SCOPED_ARGV)
-def test_scoped_parser_prints_what_the_full_parser_prints(argv, e2_path, capsys, monkeypatch):
-    argv = [e2_path if a == "{file}" else a for a in argv]
-    scoped = run_cli(capsys, argv)
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
-    assert run_cli(capsys, argv) == scoped

@@ -58,6 +58,11 @@ class TestCofactor:
         at = Index3(1, 2, 3)
         assert cofactor(example2, at, SignConvention.EXPANSION) == Scalar(-1)
         assert cofactor(example2, at, SignConvention.PAPER_DEF) == Scalar(1)
+        # Only a SignConvention names a convention, not its value or a falsy stand-in.
+        for bad in ("expansion", "paper-def", None, 0):
+            message = f"^convention must be a SignConvention, got {re.escape(repr(bad))}$"
+            with pytest.raises(TypeError, match=message):
+                cofactor(example2, Index3(1, 1, 2), bad)
 
     def test_conventions_differ_by_layer_parity(self, example2):
         for i in (1, 2, 3):

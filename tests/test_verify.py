@@ -131,6 +131,18 @@ class TestRandomCubic:
             spec._replace(seed=-1)
         with pytest.raises(ValueError, match="^order must be 1, 2, or 3, got 4$"):
             GenSpec._make((4, 0, 9))
+        # Components are ints, bool rejected, checked before their ranges.
+        for bad in ((True, 0, 9), (2, 1.5, 9), (2, 0, 1.5), (2.0, 0, 9), (3, False, 9), (2, 0, True), (2, -1.0, 9)):
+            message = rf"^order, seed and range must be ints, got \({','.join(map(re.escape, map(repr, bad)))}\)$"
+            with pytest.raises(TypeError, match=message):
+                GenSpec(*bad)
+            with pytest.raises(TypeError, match=message):
+                spec._replace(order=bad[0], seed=bad[1], range=bad[2])
+
+        class Seed(int):
+            pass
+
+        assert GenSpec(3, Seed(42), 9) == spec
 
 
 class TestMatrixDigest:

@@ -80,6 +80,15 @@ MUTANTS = (
         ("tests/test_determinant.py::TestOverflowAgreement::test_unrepresentable_trace_values_raise",),
     ),
     Mutant(
+        "cofactor-reads-any-convention-as-paper-def",
+        "src/cubicdet/laplace.py",
+        """    if not isinstance(convention, SignConvention):
+        raise TypeError(f"convention must be a SignConvention, got {convention!r}")
+""",
+        "",
+        ("tests/test_laplace.py::TestCofactor::test_golden_cofactors",),
+    ),
+    Mutant(
         "term-memo-ignores-the-sign",
         "src/cubicdet/laplace.py",
         "if term is None or term.sign != sign:",
@@ -347,6 +356,13 @@ MUTANTS = (
         ("tests/test_verify.py::TestRandomCubic::test_spec_validation",),
     ),
     Mutant(
+        "gen-spec-accepts-a-bool",
+        "src/cubicdet/core3d.py",
+        "isinstance(x, bool) or not isinstance(x, int) for x in (order, seed, range)",
+        "not isinstance(x, int) for x in (order, seed, range)",
+        ("tests/test_verify.py::TestRandomCubic::test_spec_validation",),
+    ),
+    Mutant(
         "batch-rejects-the-top-seed",
         "src/cubicdet/verify.py",
         "    if not 0 <= seed <= SplitMix64._MASK:\n        raise",
@@ -531,11 +547,11 @@ MUTANTS = (
         ("tests/test_cli.py::TestStartup::test_command_loads_only_what_it_runs[det]",),
     ),
     Mutant(
-        "parser-populates-wrong-command",
+        "subcommand-errors-print-the-top-usage",
         "src/cubicdet/cli.py",
-        'build_parser(next((arg for arg in argv if not arg.startswith("-")), ""))',
-        'build_parser(next(iter(argv), ""))',
-        ("tests/test_cli.py::test_scoped_parser_prints_what_the_full_parser_prints[option-before-command]",),
+        "p.set_defaults(func=func, parser=p)",
+        "p.set_defaults(func=func, parser=parser)",
+        ("tests/test_cli.py::test_the_transcript_replays_byte_for_byte",),
     ),
     Mutant(
         "gen-loads-the-cross-check",
