@@ -358,11 +358,15 @@ class CubicMatrix:
         """The matrix of entries ``ints[f] / scale`` in lowest terms.  The
         first entry of ``changed``, in order, whose reduced value leaves
         the bounds raises ScalarOverflowError as Scalar does; an entry
-        whose int and ``scale`` are in bounds cannot, and is skipped."""
-        g = math.gcd(scale, *ints)
-        if g > 1:
-            scale //= g
-            ints = [v // g for v in ints]
+        whose int and ``scale`` are in bounds cannot, and is skipped.
+        At ``scale == 1`` (an integer matrix, as every generated matrix
+        and its layer transforms are) the ints are already in lowest
+        terms, so no gcd is taken."""
+        if scale != 1:
+            g = math.gcd(scale, *ints)
+            if g > 1:
+                scale //= g
+                ints = [v // g for v in ints]
         wide = scale > _DEN_MAX
         for f in changed:
             if wide or not _NUM_MIN <= ints[f] <= _NUM_MAX:
@@ -531,7 +535,11 @@ class GenSpec(namedtuple("GenSpec", "order seed range")):
 
 def random_cubic(spec: GenSpec) -> CubicMatrix:
     """The matrix named by spec: splitmix64 outputs, consumed in
-    canonical (k-major) cell order, each mapped to (x mod (2R+1)) - R."""
+    canonical (k-major) cell order, each mapped to (x mod (2R+1)) - R.
+
+    Entries lie in [-R, R], so while R fits a signed 64-bit integer none
+    can leave the bounds and no cell is checked; past that, every cell
+    is, in order, and the first that leaves them raises Scalar's error."""
     span, r = 2 * spec.range + 1, spec.range
     ints = [x % span - r for x in SplitMix64(spec.seed).outputs(spec.order**3)]
-    return CubicMatrix._reduced(spec.order, 1, ints, range(len(ints)))
+    return CubicMatrix._reduced(spec.order, 1, ints, () if r <= _NUM_MAX else range(len(ints)))

@@ -30,11 +30,14 @@ one counts.
 
 Serialization is canonical for both formats (equal matrices always
 produce byte-identical output) and ``parse(serialize(A)) == A`` holds
-exactly.  Every parse error names a 1-based location.  A literal's
-location is formatted only when the literal is rejected: _parse_literal
-raises _BadLiteral with the rest of the message, and the parser's loop,
-which knows the cell, prefixes it.  The parsers hand their Scalars to
-CubicMatrix, which keeps them (see core3d).
+exactly.  The text writer fills a per-order layout, built at import,
+with one ``str.format`` call over the reduced cells; an integer matrix's
+cells are its ints, taken as they are.  Every parse error names a
+1-based location.  A literal's location is formatted only when the
+literal is rejected: _parse_literal raises _BadLiteral with the rest of
+the message, and the parser's loop, which knows the cell, prefixes it.
+The parsers hand their Scalars to CubicMatrix, which keeps them (see
+core3d).
 """
 
 from __future__ import annotations
@@ -166,27 +169,30 @@ def parse_text(text: str) -> CubicMatrix:
     return CubicMatrix(order, layers)
 
 
-def _reduced_cells(A: CubicMatrix, whole) -> list:
-    """Each entry of A in flat (k-major) order: whole(v) if it is the
+def _reduced_cells(A: CubicMatrix) -> list:
+    """Each entry of A in flat (k-major) order: the int v if it is the
     integer v, else the "p/q" text of its reduced fraction."""
     scale = A._scale
     if scale == 1:  # an integer matrix, as every random_cubic is: nothing to reduce
-        return list(map(whole, A._ints))
+        return list(A._ints)
     cells = []
     for v in A._ints:
         g = math.gcd(v, scale)
-        cells.append(whole(v // g) if g == scale else f"{v // g}/{scale // g}")
+        cells.append(v // g if g == scale else f"{v // g}/{scale // g}")
     return cells
+
+
+# Per order, the canonical text with one "{}" per entry in flat order:
+# the order line, then n blocks of n rows of n entries, single spaces,
+# one blank line between blocks, LF endings, one trailing newline.
+_TEXT_LAYOUT = {n: f"{n}\n" + "\n\n".join(["\n".join([" ".join(["{}"] * n)] * n)] * n) + "\n" for n in (1, 2, 3)}
 
 
 def serialize_text(A: CubicMatrix) -> str:
     """Canonical text form: single spaces, one blank line between
-    blocks, reduced p/q literals, LF endings, one trailing newline."""
-    n = A.order
-    cells = _reduced_cells(A, str)
-    rows = [" ".join(cells[f : f + n]) for f in range(0, n**3, n)]
-    blocks = ["\n".join(rows[r : r + n]) for r in range(0, n * n, n)]
-    return f"{n}\n" + "\n\n".join(blocks) + "\n"
+    blocks, reduced p/q literals, LF endings, one trailing newline.
+    One format call fills the order's layout with the cells."""
+    return _TEXT_LAYOUT[A.order].format(*_reduced_cells(A))
 
 
 class _Float(str):
@@ -271,5 +277,4 @@ def serialize_json(A: CubicMatrix) -> str:
     integer entries as JSON integers, others as "p/q" strings."""
     import json
 
-    cells = _reduced_cells(A, int)
-    return json.dumps({"order": A.order, "layers": _nested(A.order, cells)})
+    return json.dumps({"order": A.order, "layers": _nested(A.order, _reduced_cells(A))})

@@ -97,8 +97,12 @@ def cross_check(A: CubicMatrix) -> VerifyReport:
     scales the determinant by 2; swapping layers 1 and 2 preserves the
     determinant across horizontal layers and negates it across vertical
     pages and vertical layers; a zeroed layer forces determinant 0.
-    Law predictions come from the permutation oracle on the transformed
-    matrix, so a law failure localizes the bug outside the oracle.
+    Law values come from the permutation oracle on the transformed
+    matrix, so a law failure localizes the bug outside the oracle.  The
+    predictions ``2 * det`` and ``-det`` are built once per call, right
+    after the h scale law's oracle value, where the loop first needs
+    one: a value that leaves the 64-bit bounds raises at the same step,
+    with the same message, as when each law built its own.
     """
     if A.order == 1:
         raise ShapeError("cross-check needs order 2 or 3 (order 1 has no expansions)")
@@ -110,11 +114,15 @@ def cross_check(A: CubicMatrix) -> VerifyReport:
     paths.update(zip(_LAPLACE_NAMES[A.order], _expansion_totals(A)))
     laws = []
     a, b = _LAW_SWAP
+    doubled = None
     for axis, scale_name, swap_name, zero_name in _LAWS:
         scaled = A.scale_layer(axis, _LAW_LAYER, _LAW_SCALE)
-        laws.append((scale_name, det_permutation(scaled) == _LAW_SCALE * det_value))
+        scaled_det = det_permutation(scaled)
+        if doubled is None:
+            doubled, negated = _LAW_SCALE * det_value, -det_value
+        laws.append((scale_name, scaled_det == doubled))
         swapped = A.swap_layers(axis, a, b)
-        expected = det_value if axis is Axis.HORIZONTAL_LAYER else -det_value
+        expected = det_value if axis is Axis.HORIZONTAL_LAYER else negated
         laws.append((swap_name, det_permutation(swapped) == expected))
         zeroed = A.scale_layer(axis, _LAW_LAYER, ZERO)
         laws.append((zero_name, det_permutation(zeroed) == ZERO))
@@ -135,12 +143,16 @@ def batch_verify(orders, trials: int, seed: int, range: int) -> BatchSummary:
 
     Per-trial seeds are drawn from one splitmix64 stream over the master
     seed, so the summary is deterministic and any failing GenSpec can be
-    regenerated standalone.
+    regenerated standalone.  ``trials`` and ``seed`` are ints (bool
+    rejected); another type raises TypeError before any range check.
     """
     orders = tuple(orders)
     for order in orders:
         if order not in (2, 3):
             raise ValueError(f"batch orders must be 2 or 3, got {order!r}")
+    for name, value in (("trials", trials), ("seed", seed)):
+        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
+            raise TypeError(f"{name} must be an int, got {value!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     if not 0 <= seed <= SplitMix64._MASK:

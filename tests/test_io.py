@@ -1,5 +1,7 @@
+import hashlib
 import json
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -12,6 +14,7 @@ from cubicdet import (
     Scalar,
     ScalarOverflowError,
     expand,
+    matrix_digest,
     parse_json,
     parse_text,
     random_cubic,
@@ -462,6 +465,39 @@ def test_serialize_text_prints_each_reduced_entry(n, data):
     # And the JSON as built from the same Scalars, one _json_scalar() per entry.
     layers = [[[_json_scalar(v) for v in row] for row in block] for block in A.layers()]
     assert serialize_json(A) == json.dumps({"order": n, "layers": layers})
+
+
+def reference_text(n, cells):
+    """The canonical text of the order-n matrix whose Fractions ``cells``
+    lists in (k, i, j) order, written out from README's format without
+    cubicdet: the order line, then each vertical layer's n rows of n
+    literals joined by single spaces, a blank line between layers."""
+    rows = [" ".join(str(cells[r * n + j]) for j in range(n)) for r in range(n * n)]
+    layers = ["".join(row + "\n" for row in rows[k * n : (k + 1) * n]) for k in range(n)]
+    return f"{n}\n" + "\n".join(layers)
+
+
+# Small integers, p/q cells that reduce against a shared denominator,
+# and components at the 64-bit edges, as Fractions.
+EDGE_NUMERATORS = st.one_of(st.sampled_from((-(2**63), 2**63 - 1, 0)), st.integers(-(2**63), 2**63 - 1))
+REFERENCE_ENTRIES = st.sampled_from(
+    (
+        st.integers(-9, 9).map(Fraction),
+        EDGE_NUMERATORS.map(Fraction),
+        st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+        st.builds(Fraction, EDGE_NUMERATORS, st.one_of(st.sampled_from((1, 2**64 - 1)), st.integers(1, 2**64 - 1))),
+    )
+)
+
+
+@given(st.integers(1, 3), st.data())
+def test_serialize_text_is_the_reference_text(n, data):
+    cells = data.draw(st.lists(data.draw(REFERENCE_ENTRIES), min_size=n**3, max_size=n**3))
+    flat = iter([Scalar(c.numerator, c.denominator) for c in cells])
+    A = CubicMatrix(n, [[[next(flat) for _ in range(n)] for _ in range(n)] for _ in range(n)])
+    text = reference_text(n, cells)
+    assert serialize_text(A) == text
+    assert matrix_digest(A) == f"order{n}:" + hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def outcome(call, *args):

@@ -214,13 +214,36 @@ def test_cross_check_raises_exactly_past_the_bounds(subject):
     values += [2 * a[at] for axis in Axis for at in layer_cells(n, axis, 1)]
     values += [(-1) ** (j + k) * a[(i, j, k)] * m for (i, j, k), m in minors.items()]
     A = matrix(n, a)
-    if any(bound_error(v) for v in values):
-        with pytest.raises(ScalarOverflowError):
+    errors = {bound_error(v) for v in values} - {None}
+    if errors:
+        with pytest.raises(ScalarOverflowError) as info:
             cross_check(A)
+        assert str(info.value) in errors
     else:
         report = cross_check(A)
         assert {frac(v) for v in report.paths.values()} == {det}
         assert report.overall
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        # det = -2**63: -det and 2 * det both leave the bounds, and the h
+        # scale law's oracle value 2 * det, checked first, names the error.
+        ({(0, 0, 0): -(2**62), (1, 1, 1): 2}, f"numerator {-(2**64)} outside the signed 64-bit range"),
+        # det = 2**62 + 1: doubling layer h:1 makes the entry 2**63 before
+        # any law's value, 2 * det = 2**63 + 2, is built.
+        (
+            {(0, 0, 0): 2**62, (1, 1, 1): 1, (0, 0, 1): 1, (1, 1, 0): -1},
+            f"numerator {2**63} outside the signed 64-bit range",
+        ),
+    ],
+)
+def test_cross_check_names_the_first_value_past_the_bounds(cells, message):
+    a = {(i, j, k): Fraction(cells.get((i, j, k), 0)) for i in range(2) for j in range(2) for k in range(2)}
+    with pytest.raises(ScalarOverflowError) as info:
+        cross_check(matrix(2, a))
+    assert str(info.value) == message
 
 
 @given(edge_cubics(), EDGE)

@@ -9,6 +9,7 @@ from cubicdet import (
     CubicMatrix,
     GenSpec,
     Scalar,
+    ScalarOverflowError,
     ShapeError,
     SplitMix64,
     batch_verify,
@@ -61,13 +62,21 @@ def reference_splitmix64(state):
 
 def test_random_cubic_follows_the_reference_stream():
     # Cell order k, then i, then j; each output x becomes x mod (2R+1) - R.
+    # Past R = 2**63 - 1 an entry can leave the signed 64-bit bounds, and
+    # then the first such entry, in cell order, names the error.
+    ranges = (1, 9, 2**62, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1)
     seeds = reference_splitmix64(2101)
-    for t, seed in enumerate([0, 2**64 - 1] + [next(seeds) for _ in range(498)]):
-        order, r = t % 3 + 1, (1, 9, 2**62)[t // 3 % 3]
+    for t, seed in enumerate([0, 2**64 - 1] + [next(seeds) for _ in range(698)]):
+        order, r = t % 3 + 1, ranges[t // 3 % len(ranges)]
         stream = reference_splitmix64(seed)
-        want = [Scalar(next(stream) % (2 * r + 1) - r) for _ in range(order**3)]
-        got = random_cubic(GenSpec(order, seed, r)).layers()
-        assert [v for block in got for row in block for v in row] == want, (order, seed, r)
+        want = [next(stream) % (2 * r + 1) - r for _ in range(order**3)]
+        outside = [v for v in want if not -(2**63) <= v <= 2**63 - 1]
+        if outside:
+            with pytest.raises(ScalarOverflowError, match=rf"^numerator {outside[0]} outside the signed 64-bit range$"):
+                random_cubic(GenSpec(order, seed, r))
+        else:
+            got = random_cubic(GenSpec(order, seed, r)).layers()
+            assert [v for block in got for row in block for v in row] == list(map(Scalar, want)), (order, seed, r)
 
 
 def test_batch_trials_follow_the_reference_stream(monkeypatch):
@@ -307,3 +316,14 @@ class TestBatchVerify:
         for seed in (-5, 1 << 64):
             with pytest.raises(ValueError, match=f"^seed must fit in 64 bits, got {seed}$"):
                 batch_verify((2,), trials=1, seed=seed, range=9)
+        # trials and seed are ints, bool rejected, checked before their ranges.
+        for trials, seed, bad in ((True, 0, "trials"), (1.0, 0, "trials"), (0.5, 0, "trials"), (1, True, "seed"),
+                                  (1, 1.0, "seed"), (1, -1.5, "seed"), (False, -1.0, "trials")):
+            value = repr(trials if bad == "trials" else seed)
+            with pytest.raises(TypeError, match=rf"^{bad} must be an int, got {re.escape(value)}$"):
+                batch_verify((2,), trials=trials, seed=seed, range=9)
+
+        class Count(int):
+            pass
+
+        assert batch_verify((2,), Count(1), Count(7), 9) == batch_verify((2,), 1, 7, 9)

@@ -370,6 +370,54 @@ MUTANTS = (
         ("tests/test_verify.py::TestBatchVerify::test_single_trial",),
     ),
     Mutant(
+        "batch-accepts-a-bool",
+        "src/cubicdet/verify.py",
+        "type(value) is not int and (isinstance(value, bool) or not isinstance(value, int))",
+        "type(value) is not int and not isinstance(value, int)",
+        ("tests/test_verify.py::TestBatchVerify::test_validation",),
+    ),
+    Mutant(
+        "reduced-skips-the-gcd-when-it-matters",
+        "src/cubicdet/core3d.py",
+        "        if scale != 1:\n            g = math.gcd(scale, *ints)",
+        "        if scale == 1:\n            g = math.gcd(scale, *ints)",
+        (
+            "tests/test_core3d.py::TestLayerTransforms::test_scale_then_inverse_restores",
+            "tests/test_core3d.py::TestLayerTransforms::test_results_keep_the_integer_view",
+        ),
+    ),
+    Mutant(
+        "random-cubic-checks-only-past-den-max",
+        "src/cubicdet/core3d.py",
+        "() if r <= _NUM_MAX else range(len(ints))",
+        "() if r <= _DEN_MAX else range(len(ints))",
+        ("tests/test_verify.py::test_random_cubic_follows_the_reference_stream",),
+    ),
+    Mutant(
+        "negated-det-built-before-the-loop",
+        "src/cubicdet/verify.py",
+        "    doubled = None\n",
+        "    doubled, negated = None, -det_value\n",
+        ("tests/test_rational_reference.py::test_cross_check_names_the_first_value_past_the_bounds",),
+    ),
+    Mutant(
+        "law-predictions-built-before-the-loop",
+        "src/cubicdet/verify.py",
+        "    doubled = None\n",
+        "    doubled, negated = _LAW_SCALE * det_value, -det_value\n",
+        ("tests/test_rational_reference.py::test_cross_check_names_the_first_value_past_the_bounds",),
+    ),
+    Mutant(
+        "text-layout-without-blank-lines",
+        "src/cubicdet/io.py",
+        '"\\n\\n".join(["\\n".join(',
+        '"\\n".join(["\\n".join(',
+        (
+            "tests/test_io.py::test_serialize_text_is_the_reference_text",
+            "tests/test_verify.py::TestRandomCubic::test_matches_frozen_golden_file",
+        ),
+    ),
+    Mutant(
         "totals-drop-a-row",
         "src/cubicdet/laplace.py",
         "tuple((1, f) for f in _LAYER_FLAT[(order, *path)])",
