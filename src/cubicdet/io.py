@@ -30,19 +30,20 @@ one counts.
 
 Serialization is canonical for both formats (equal matrices always
 produce byte-identical output) and ``parse(serialize(A)) == A`` holds
-exactly.  The text writer fills a per-order layout, built at import,
-with one ``str.format`` call over the reduced cells; an integer matrix's
-cells are its ints, taken as they are.  Every parse error names a
-1-based location.  A literal's location is formatted only when the
-literal is rejected: _parse_literal raises _BadLiteral with the rest of
-the message, and the parser's loop, which knows the cell, prefixes it.
-The parsers hand their Scalars to CubicMatrix, which keeps them (see
-core3d).
+exactly.  Both writers read one list of cells: an integer matrix's
+ints, taken as they are, or else each entry's Scalar, which prints
+itself in lowest terms.  The text writer fills a per-order layout,
+built at import, with one ``str.format`` call over them; the JSON
+writer maps each Scalar through ``_json_scalar``.  Every parse error
+names a 1-based location.  A literal's location is formatted only
+when the literal is rejected: _parse_literal raises _BadLiteral with
+the rest of the message, and the parser's loop, which knows the cell,
+prefixes it.  The parsers hand their Scalars to CubicMatrix, which
+keeps them (see core3d).
 """
 
 from __future__ import annotations
 
-import math
 import re
 
 from .core3d import (
@@ -169,17 +170,12 @@ def parse_text(text: str) -> CubicMatrix:
     return CubicMatrix(order, layers)
 
 
-def _reduced_cells(A: CubicMatrix) -> list:
-    """Each entry of A in flat (k-major) order: the int v if it is the
-    integer v, else the "p/q" text of its reduced fraction."""
-    scale = A._scale
-    if scale == 1:  # an integer matrix, as every random_cubic is: nothing to reduce
-        return list(A._ints)
-    cells = []
-    for v in A._ints:
-        g = math.gcd(v, scale)
-        cells.append(v // g if g == scale else f"{v // g}/{scale // g}")
-    return cells
+def _cells(A: CubicMatrix):
+    """Each entry of A in flat (k-major) order: its int if A is an
+    integer matrix, as every random_cubic is, else its Scalar."""
+    if A._scale == 1:
+        return A._ints
+    return [A._entry(f) for f in range(len(A._ints))]
 
 
 # Per order, the canonical text with one "{}" per entry in flat order:
@@ -192,7 +188,7 @@ def serialize_text(A: CubicMatrix) -> str:
     """Canonical text form: single spaces, one blank line between
     blocks, reduced p/q literals, LF endings, one trailing newline.
     One format call fills the order's layout with the cells."""
-    return _TEXT_LAYOUT[A.order].format(*_reduced_cells(A))
+    return _TEXT_LAYOUT[A.order].format(*_cells(A))
 
 
 class _Float(str):
@@ -277,4 +273,7 @@ def serialize_json(A: CubicMatrix) -> str:
     integer entries as JSON integers, others as "p/q" strings."""
     import json
 
-    return json.dumps({"order": A.order, "layers": _nested(A.order, _reduced_cells(A))})
+    cells = _cells(A)
+    if A._scale != 1:
+        cells = [_json_scalar(c) for c in cells]
+    return json.dumps({"order": A.order, "layers": _nested(A.order, cells)})

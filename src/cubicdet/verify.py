@@ -143,14 +143,16 @@ def batch_verify(orders, trials: int, seed: int, range: int) -> BatchSummary:
 
     Per-trial seeds are drawn from one splitmix64 stream over the master
     seed, so the summary is deterministic and any failing GenSpec can be
-    regenerated standalone.  ``trials`` and ``seed`` are ints (bool
-    rejected); another type raises TypeError before any range check.
+    regenerated standalone.  Orders, ``trials``, ``seed`` and ``range``
+    are ints (bool rejected); another type raises TypeError first.
     """
     orders = tuple(orders)
     for order in orders:
+        if isinstance(order, bool) or not isinstance(order, int):
+            raise TypeError(f"order must be an int, got {order!r}")
         if order not in (2, 3):
             raise ValueError(f"batch orders must be 2 or 3, got {order!r}")
-    for name, value in (("trials", trials), ("seed", seed)):
+    for name, value in (("trials", trials), ("seed", seed), ("range", range)):
         if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
             raise TypeError(f"{name} must be an int, got {value!r}")
     if trials < 1:

@@ -465,6 +465,11 @@ def test_serialize_text_prints_each_reduced_entry(n, data):
     # And the JSON as built from the same Scalars, one _json_scalar() per entry.
     layers = [[[_json_scalar(v) for v in row] for row in block] for block in A.layers()]
     assert serialize_json(A) == json.dumps({"order": n, "layers": layers})
+    # A matrix built through _reduced keeps no Scalars and prints the same.
+    twin = A.scale(Scalar(1))
+    assert twin._entries is None
+    assert serialize_text(twin) == serialize_text(A)
+    assert serialize_json(twin) == serialize_json(A)
 
 
 def reference_text(n, cells):
@@ -496,8 +501,14 @@ def test_serialize_text_is_the_reference_text(n, data):
     flat = iter([Scalar(c.numerator, c.denominator) for c in cells])
     A = CubicMatrix(n, [[[next(flat) for _ in range(n)] for _ in range(n)] for _ in range(n)])
     text = reference_text(n, cells)
-    assert serialize_text(A) == text
-    assert matrix_digest(A) == f"order{n}:" + hashlib.sha256(text.encode()).hexdigest()[:16]
+    digest = f"order{n}:" + hashlib.sha256(text.encode()).hexdigest()[:16]
+    # Read out from the kept Scalars, and from a twin built through
+    # _reduced, which keeps none.
+    twin = A.scale(Scalar(1))
+    assert twin._entries is None
+    for B in (A, twin):
+        assert serialize_text(B) == text
+        assert matrix_digest(B) == digest
 
 
 def outcome(call, *args):

@@ -323,7 +323,16 @@ class TestBatchVerify:
             with pytest.raises(TypeError, match=rf"^{bad} must be an int, got {re.escape(value)}$"):
                 batch_verify((2,), trials=trials, seed=seed, range=9)
 
+        # Each order and the range too, an order's type before its value.
+        for orders, value in (((2.0,), 2.0), ((True,), True), ((3, 2.5), 2.5), (("2",), "2")):
+            with pytest.raises(TypeError, match=rf"^order must be an int, got {re.escape(repr(value))}$"):
+                batch_verify(orders, trials=1, seed=0, range=9)
+        for range_ in (9.0, True, "9"):
+            with pytest.raises(TypeError, match=rf"^range must be an int, got {re.escape(repr(range_))}$"):
+                batch_verify((2,), trials=1, seed=0, range=range_)
+
         class Count(int):
             pass
 
         assert batch_verify((2,), Count(1), Count(7), 9) == batch_verify((2,), 1, 7, 9)
+        assert batch_verify((Count(2),), 1, 7, Count(9)) == batch_verify((2,), 1, 7, 9)
