@@ -33,19 +33,24 @@ inputs, so values can be shared freely between threads or tasks.  The
 one stateful object is the generator ``SplitMix64``: ``outputs(k)``, the
 one loop that writes the mix, yields k outputs and advances it, and
 ``next`` takes one; a stream belongs to one caller (``random_cubic``
-makes its own).  The one private mutable slot is a matrix's per-cell memo
-(``_cell_memo``), which the laplace module fills on first read, in one
-call, with every cell's minor, which depends on the matrix value alone,
-and a slot per cell for its last trace term, which expand reuses only
-while the sign it reads at call time is the term's; so a value read
-from the memo is the value a fresh, equal matrix would give.
+makes its own).  The loop mixes up to 64 outputs per pass, each in its
+own 128-bit lane of one int, and the lane constants of each count are
+built on first use, not at import.  The one private mutable slot is a
+matrix's per-cell memo (``_cell_memo``), which the laplace module fills
+on first read, in one call, with every cell's minor, which depends on
+the matrix value alone, and a slot per cell for its last trace term,
+which expand reuses only while the sign it reads at call time is the
+term's; so a value read from the memo is the value a fresh, equal
+matrix would give.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from collections import namedtuple
 from enum import Enum
+from functools import lru_cache
 from itertools import product
 
 __all__ = [
@@ -489,14 +494,40 @@ class SplitMix64:
         return next(self.outputs(1))
 
     def outputs(self, k: int):
-        """Yield the next k outputs, advancing the state before each."""
-        mask, gamma, mix1, mix2 = self._MASK, self._GAMMA, self._MIX1, self._MIX2
+        """Yield the next k outputs, advancing the state before each.
+
+        A pass mixes up to 64 outputs at once, SIMD within a register:
+        output i lives in bits 128i to 128i+127 (its lane) of one int,
+        and each multiply or xorshift works on every lane.  A product of
+        two 64-bit values fits its lane, but a right shift pulls bits
+        down from the lane above, so every xorshift is masked back to
+        each lane's low 64 bits before it is multiplied."""
+        mix1, mix2 = self._MIX1, self._MIX2
         state = self.state
-        for _ in range(k):
-            self.state = state = (state + gamma) & mask
-            z = ((state ^ (state >> 30)) * mix1) & mask
-            z = ((z ^ (z >> 27)) * mix2) & mask
-            yield z ^ (z >> 31)
+        while k > 0:
+            count = min(k, 64)  # so outputs(10**6) builds no million-lane int
+            ones, mask, steps, unpack = _lanes(count)
+            s = (state * ones + steps) & mask
+            z = ((s ^ (s >> 30)) & mask) * mix1 & mask
+            z = ((z ^ (z >> 27)) & mask) * mix2 & mask
+            size = 16 * count
+            states = unpack(s.to_bytes(size, "little"))
+            for self.state, out in zip(states, unpack((z ^ (z >> 31)).to_bytes(size, "little"))):
+                yield out
+            state = states[-1]
+            k -= count
+
+
+@lru_cache(maxsize=None)
+def _lanes(count: int) -> tuple:
+    """The constants of a pass over ``count`` lanes, built on first use
+    (every CLI command imports this module): 1 in each lane, 2**64 - 1 in
+    each lane, lane i's step (i + 1) * gamma mod 2**64, and the unpacker
+    of each lane's low 64 bits from the int's 16 * count little-endian
+    bytes."""
+    ones = sum([1 << 128 * i for i in range(count)])
+    steps = sum([((i + 1) * SplitMix64._GAMMA & SplitMix64._MASK) << 128 * i for i in range(count)])
+    return ones, ones * SplitMix64._MASK, steps, struct.Struct("<" + "Q8x" * count).unpack
 
 
 class GenSpec(namedtuple("GenSpec", "order seed range")):

@@ -9,6 +9,8 @@ Two independent evaluation routes live here:
   tau) of {1..n} at run time and sums parity-signed products of the
   entries a[i, sigma(i), tau(i)].  Nothing is shared with the tables,
   so agreement between the two routes is a real check, not a tautology.
+  The cross-check's law checks compare the same sum with a prediction
+  on ints (``_permutation_equals``), without building a Scalar.
 
 Kernels
 -------
@@ -223,6 +225,15 @@ def det_permutation(A: CubicMatrix) -> Scalar:
     verification harness.
     """
     return Scalar(_PERM[A.order](A._ints), A._scale**A.order)
+
+
+def _permutation_equals(M: CubicMatrix, value: Scalar) -> bool:
+    """Whether ``det_permutation(M) == value``, decided on ints: the
+    oracle's sum over ``M._ints`` is the determinant times
+    ``M._scale**n``, so it is cross-multiplied with value's num and den.
+    It builds no Scalar, so it checks no bounds."""
+    n = M.order
+    return _PERM[n](M._ints) * value.den == value.num * M._scale**n
 
 
 def sign_expansion(at: Index3) -> int:

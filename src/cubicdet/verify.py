@@ -3,8 +3,10 @@
 The cross-check evaluates every determinant path (closed form,
 permutation sum, each one-level layer expansion) plus nine derived
 algebraic laws, comparing everything exactly against the permutation
-oracle.  A batch draws its matrices from core3d's seeded generator, so
-any failing trial is named by the GenSpec that regenerates it.
+oracle.  A path value is a Scalar; a law is decided on the oracle's
+ints over the transformed matrix, cross-multiplied with its prediction.
+A batch draws its matrices from core3d's seeded generator, so any
+failing trial is named by the GenSpec that regenerates it.
 
 Laplace path values are the layer sums of one shared table: each
 entry's contribution (sign * entry * minor, as ``expand`` traces it) is
@@ -24,7 +26,7 @@ from collections import namedtuple
 from .core3d import (
     _AXES, _PATHS, ZERO, Axis, CubicMatrix, GenSpec, Scalar, ScalarOverflowError, ShapeError, SplitMix64, random_cubic,
 )
-from .determinant import det_closed, det_permutation
+from .determinant import _permutation_equals, det_closed, det_permutation
 from .io import serialize_text
 from .laplace import _expansion_totals
 
@@ -98,11 +100,15 @@ def cross_check(A: CubicMatrix) -> VerifyReport:
     determinant across horizontal layers and negates it across vertical
     pages and vertical layers; a zeroed layer forces determinant 0.
     Law values come from the permutation oracle on the transformed
-    matrix, so a law failure localizes the bug outside the oracle.  The
-    predictions ``2 * det`` and ``-det`` are built once per call, right
-    after the h scale law's oracle value, where the loop first needs
-    one: a value that leaves the 64-bit bounds raises at the same step,
-    with the same message, as when each law built its own.
+    matrix, so a law failure localizes the bug outside the oracle.  Each
+    law is decided on ints: the oracle's sum over the transformed
+    matrix is cross-multiplied with the prediction (determinant's
+    ``_permutation_equals``), and no Scalar is built for the law value.
+    The predictions ``2 * det`` and ``-det`` are built once per call,
+    right after the h axis's ``scale_layer``, where the loop first needs
+    one.  With a correct oracle, a law value past the 64-bit bounds
+    equals one of them, so it raises at the same step, with the same
+    message, as when each law built its own value.
     """
     if A.order == 1:
         raise ShapeError("cross-check needs order 2 or 3 (order 1 has no expansions)")
@@ -117,15 +123,14 @@ def cross_check(A: CubicMatrix) -> VerifyReport:
     doubled = None
     for axis, scale_name, swap_name, zero_name in _LAWS:
         scaled = A.scale_layer(axis, _LAW_LAYER, _LAW_SCALE)
-        scaled_det = det_permutation(scaled)
         if doubled is None:
             doubled, negated = _LAW_SCALE * det_value, -det_value
-        laws.append((scale_name, scaled_det == doubled))
+        laws.append((scale_name, _permutation_equals(scaled, doubled)))
         swapped = A.swap_layers(axis, a, b)
         expected = det_value if axis is Axis.HORIZONTAL_LAYER else negated
-        laws.append((swap_name, det_permutation(swapped) == expected))
+        laws.append((swap_name, _permutation_equals(swapped, expected)))
         zeroed = A.scale_layer(axis, _LAW_LAYER, ZERO)
-        laws.append((zero_name, det_permutation(zeroed) == ZERO))
+        laws.append((zero_name, _permutation_equals(zeroed, ZERO)))
     return build_report(matrix_digest(A), det_value, paths, laws)
 
 

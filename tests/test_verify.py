@@ -38,13 +38,24 @@ class TestSplitMix64:
     def test_seed_wraps_to_64_bits(self):
         assert SplitMix64(1 << 64).next() == SplitMix64(0).next()
 
+    # A pass mixes at most 64 outputs, in lanes of one int: 63 to 65,
+    # 128 and 129 cross or end at a pass boundary.
+    @example(0, 63)
     @example(0, 64)
     @example(2**64 - 1, 64)
+    @example(2**64 - 1, 65)
+    @example(1, 128)
+    @example(2**64 - 1, 129)
     @example(2**64 - 1, 0)
-    @given(st.integers(0, 2**64 - 1), st.integers(0, 64))
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 200))
     def test_outputs_are_the_successive_next_values(self, seed, count):
         stream, stepped = SplitMix64(seed), SplitMix64(seed)
-        assert list(stream.outputs(count)) == [stepped.next() for _ in range(count)]
+        got = 0
+        for out in stream.outputs(count):
+            assert out == stepped.next()
+            assert stream.state == stepped.state
+            got += 1
+        assert got == count
         assert stream.state == stepped.state
         assert stream.next() == stepped.next()
 
@@ -272,6 +283,37 @@ class TestCrossCheck:
                 failed = {name for name, ok in report.agreements.items() if not ok}
                 assert failed == {f"laplace:h:{bad.i}", f"laplace:p:{bad.j}", f"laplace:l:{bad.k}"}
                 assert all(ok for _, ok in report.derived_laws)
+
+    def test_laws_fail_when_the_transforms_do_nothing(self, example2, monkeypatch):
+        # A swap that leaves the matrix as it is and a scale that ignores
+        # its factor must fail exactly the laws whose prediction differs
+        # from det: swap:p, swap:l, every scale law and every zero law.
+        # On an integer and on a rational matrix (_scale 3), so the law
+        # comparison runs over a common denominator too.
+        subjects = (example2, example2.scale(Scalar(1, 3)))
+        assert [m._scale for m in subjects] == [1, 3]
+        real = CubicMatrix.scale_layer
+        monkeypatch.setattr(CubicMatrix, "swap_layers", lambda self, axis, a, b: self)
+        monkeypatch.setattr(CubicMatrix, "scale_layer", lambda self, axis, index, c: real(self, axis, index, 1))
+        expected = {f"{law}:{axis}" for law in ("scale", "zero") for axis in "hpl"} | {"swap:p", "swap:l"}
+        for m in subjects:
+            report = cross_check(m)
+            assert report.det_value != Scalar(0)
+            assert {name for name, ok in report.derived_laws if not ok} == expected
+            assert all(report.agreements.values())
+            assert report.overall is False
+
+    def test_law_transform_that_changes_the_common_denominator(self):
+        # h:1 holds the four halves, so doubling it leaves _scale 1: the
+        # scale law's matrix has another common denominator than A's.
+        h = Scalar
+        A = CubicMatrix(2, [[[h(1, 2), h(3, 2)], [5, -7]], [[h(-5, 2), h(1, 2)], [2, 3]]])
+        assert A._scale == 2
+        assert A.scale_layer(Axis.HORIZONTAL_LAYER, 1, Scalar(2))._scale == 1
+        report = cross_check(A)
+        assert report.det_value == Scalar(-33, 2)
+        assert all(ok for _, ok in report.derived_laws)
+        assert report.overall is True
 
 
 class TestBatchVerify:

@@ -346,8 +346,38 @@ MUTANTS = (
     Mutant(
         "stream-first-shift-31",
         "src/cubicdet/core3d.py",
-        "z = ((state ^ (state >> 30)) * mix1) & mask",
-        "z = ((state ^ (state >> 31)) * mix1) & mask",
+        "z = ((s ^ (s >> 30)) & mask) * mix1 & mask",
+        "z = ((s ^ (s >> 31)) & mask) * mix1 & mask",
+    ),
+    Mutant(
+        "stream-lanes-unmasked-after-the-first-xorshift",
+        "src/cubicdet/core3d.py",
+        "z = ((s ^ (s >> 30)) & mask) * mix1 & mask",
+        "z = (s ^ (s >> 30)) * mix1 & mask",
+    ),
+    Mutant(
+        "scale-law-always-holds",
+        "src/cubicdet/verify.py",
+        "laws.append((scale_name, _permutation_equals(scaled, doubled)))",
+        "laws.append((scale_name, True))",
+    ),
+    Mutant(
+        "swap-law-always-holds",
+        "src/cubicdet/verify.py",
+        "laws.append((swap_name, _permutation_equals(swapped, expected)))",
+        "laws.append((swap_name, True))",
+    ),
+    Mutant(
+        "zero-law-always-holds",
+        "src/cubicdet/verify.py",
+        "laws.append((zero_name, _permutation_equals(zeroed, ZERO)))",
+        "laws.append((zero_name, True))",
+    ),
+    Mutant(
+        "law-comparison-drops-the-common-denominator",
+        "src/cubicdet/determinant.py",
+        "== value.num * M._scale**n",
+        "== value.num",
     ),
     Mutant(
         "law-names-swapped",
