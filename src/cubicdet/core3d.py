@@ -30,12 +30,19 @@ built a second time, with a second gcd, when they are read out.
 Every value here is immutable after construction and every operation
 is pure: methods return new objects and never change the value of their
 inputs, so values can be shared freely between threads or tasks.  The
-one stateful object is the generator ``SplitMix64``: ``outputs(k)``, the
-one loop that writes the mix, yields k outputs and advances it, and
-``next`` takes one; a stream belongs to one caller (``random_cubic``
-makes its own).  The loop mixes up to 64 outputs per pass, each in its
-own 128-bit lane of one int, and the lane constants of each count are
-built on first use, not at import.  The one private mutable slot is a
+one stateful object is the generator ``SplitMix64``: ``outputs(k)``
+yields k outputs and advances it, and ``next`` takes one; a stream
+belongs to one caller.  ``_mix(state, count)`` is the one function that
+writes the mix: one pass of up to 64 outputs, each in its own 128-bit
+lane of one int, whose lane constants are built per count on first use,
+not at import.  ``outputs`` runs it pass by pass, and ``random_cubic``
+runs it once, over a fresh state, with no generator object.
+
+``swap_layers`` permutes ``_ints`` through one ``operator.itemgetter``
+per (order, axis, a, b), built on first use from ``_LAYER_FLAT`` and kept
+in ``_SWAPS``: the cell order of the swapped matrix, in one C call.
+
+The one private mutable slot is a
 matrix's per-cell memo (``_cell_memo``), which the laplace module fills
 on first read, in one call, with every cell's minor, which depends on
 the matrix value alone, and a slot per cell for its last trace term,
@@ -52,6 +59,7 @@ from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 
 __all__ = [
     "NOT_CUBIC_MESSAGE",
@@ -283,6 +291,11 @@ _LAYER_FLAT = {
 }
 
 
+# Per (order, axis, a, b) with int a != b: the itemgetter that reads
+# _ints in the swapped matrix's flat order.  Filled by swap_layers.
+_SWAPS = {}
+
+
 def _nested(n: int, cells: list) -> list:
     """An order-n matrix's cells, given in flat order, as nested lists
     indexed [k-1][i-1][j-1]."""
@@ -448,17 +461,24 @@ class CubicMatrix:
         ints = list(self._ints) if c.den == 1 else [c.den * v for v in self._ints]
         for f in layer:
             ints[f] = c.num * self._ints[f]
-        return CubicMatrix._reduced(self.order, c.den * self._scale, ints, layer)
+        # The factors 0 and 1 cannot grow an entry, so no bound is checked;
+        # -1 can: -(-2**63) leaves them.
+        changed = () if c.den == 1 and 0 <= c.num <= 1 else layer
+        return CubicMatrix._reduced(self.order, c.den * self._scale, ints, changed)
 
     def swap_layers(self, axis: Axis, a: int, b: int) -> "CubicMatrix":
         """Exchange layers a and b along the given axis."""
-        pairs = zip(self._layer_cells(axis, a), self._layer_cells(axis, b))
-        if a == b:
-            return self
-        ints = list(self._ints)
-        for fa, fb in pairs:
-            ints[fa], ints[fb] = ints[fb], ints[fa]
-        return CubicMatrix._reduced(self.order, self._scale, ints)
+        key = (self.order, axis, a, b)
+        swap = _SWAPS.get(key) if type(a) is int and type(b) is int else None  # True == 1 would find 1's map
+        if swap is None:
+            cells_a, cells_b = self._layer_cells(axis, a), self._layer_cells(axis, b)
+            if a == b:
+                return self
+            source = list(range(len(self._ints)))
+            for fa, fb in zip(cells_a, cells_b):
+                source[fa], source[fb] = fb, fa
+            swap = _SWAPS[key] = itemgetter(*source)
+        return CubicMatrix._reduced(self.order, self._scale, swap(self._ints))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CubicMatrix):
@@ -494,28 +514,35 @@ class SplitMix64:
         return next(self.outputs(1))
 
     def outputs(self, k: int):
-        """Yield the next k outputs, advancing the state before each.
-
-        A pass mixes up to 64 outputs at once, SIMD within a register:
-        output i lives in bits 128i to 128i+127 (its lane) of one int,
-        and each multiply or xorshift works on every lane.  A product of
-        two 64-bit values fits its lane, but a right shift pulls bits
-        down from the lane above, so every xorshift is masked back to
-        each lane's low 64 bits before it is multiplied."""
-        mix1, mix2 = self._MIX1, self._MIX2
+        """Yield the next k outputs, advancing the state before each:
+        one _mix pass per 64 outputs, so outputs(10**6) builds no
+        million-lane int."""
         state = self.state
         while k > 0:
-            count = min(k, 64)  # so outputs(10**6) builds no million-lane int
-            ones, mask, steps, unpack = _lanes(count)
-            s = (state * ones + steps) & mask
-            z = ((s ^ (s >> 30)) & mask) * mix1 & mask
-            z = ((z ^ (z >> 27)) & mask) * mix2 & mask
-            size = 16 * count
-            states = unpack(s.to_bytes(size, "little"))
-            for self.state, out in zip(states, unpack((z ^ (z >> 31)).to_bytes(size, "little"))):
+            count = min(k, 64)
+            states, outs = _mix(state, count)
+            for self.state, out in zip(states, outs):
                 yield out
             state = states[-1]
             k -= count
+
+
+def _mix(state: int, count: int) -> tuple:
+    """The next ``count`` (1 to 64) states after ``state`` and their
+    outputs, as two tuples, from one pass.
+
+    The pass mixes every output at once, SIMD within a register: output
+    i lives in bits 128i to 128i+127 (its lane) of one int, and each
+    multiply or xorshift works on every lane.  A product of two 64-bit
+    values fits its lane, but a right shift pulls bits down from the
+    lane above, so every xorshift is masked back to each lane's low 64
+    bits before it is multiplied."""
+    ones, mask, steps, unpack = _lanes(count)
+    s = (state * ones + steps) & mask
+    z = ((s ^ (s >> 30)) & mask) * SplitMix64._MIX1 & mask
+    z = ((z ^ (z >> 27)) & mask) * SplitMix64._MIX2 & mask
+    size = 16 * count
+    return unpack(s.to_bytes(size, "little")), unpack((z ^ (z >> 31)).to_bytes(size, "little"))
 
 
 @lru_cache(maxsize=None)
@@ -565,12 +592,13 @@ class GenSpec(namedtuple("GenSpec", "order seed range")):
 
 
 def random_cubic(spec: GenSpec) -> CubicMatrix:
-    """The matrix named by spec: splitmix64 outputs, consumed in
-    canonical (k-major) cell order, each mapped to (x mod (2R+1)) - R.
+    """The matrix named by spec: the first order**3 splitmix64 outputs
+    of spec.seed (one _mix pass), consumed in canonical (k-major) cell
+    order, each mapped to (x mod (2R+1)) - R.
 
     Entries lie in [-R, R], so while R fits a signed 64-bit integer none
     can leave the bounds and no cell is checked; past that, every cell
     is, in order, and the first that leaves them raises Scalar's error."""
     span, r = 2 * spec.range + 1, spec.range
-    ints = [x % span - r for x in SplitMix64(spec.seed).outputs(spec.order**3)]
+    ints = [x % span - r for x in _mix(spec.seed, spec.order**3)[1]]
     return CubicMatrix._reduced(spec.order, 1, ints, () if r <= _NUM_MAX else range(len(ints)))

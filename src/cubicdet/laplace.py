@@ -28,9 +28,13 @@ layer sums of the per-cell terms in one call) from the layer geometry
 alone.  The recursion is built from the layer geometry and
 sign_expansion alone, never from the closed-form or permutation tables,
 so det_laplace, the minors and the totals stay independent of the other
-two routes.  The minor kernel holds no expansion sign: det_laplace,
-expand and the cross-check's totals multiply by sign_expansion per
-entry, at call time, so a patched sign shows in the next call.
+two routes.  The minor kernel holds no expansion sign.  det_laplace,
+expand and the cross-check's totals read each entry's sign from
+``_signs(n)``, the order's n**3 signs in flat order: built by calling
+whatever sign_expansion this module names at call time, kept with that
+function object, and rebuilt when the name is bound to another one, so
+a patched sign shows in the next call at the cost of one identity check
+per call, not one sign_expansion call per entry.
 
 One _MINORS call fills a matrix's per-cell memo (see _memo), which
 every sum here reads.  An entry's term sign * entry * minor is the same
@@ -130,6 +134,23 @@ _TOTALS = _Kernels(
 )
 
 
+# Per order: (the sign_expansion the signs were read from, the n**3 signs
+# in flat order); see _signs.
+_SIGNS = {}
+
+
+def _signs(n: int) -> tuple:
+    """The order-n expansion signs in flat order, from whatever
+    sign_expansion this module names now: kept with that function, and
+    rebuilt when the name is bound to another (a patched sign shows in
+    the next call).  cofactor reads its one sign directly."""
+    sign = sign_expansion
+    held = _SIGNS.get(n)
+    if held is None or held[0] is not sign:
+        held = _SIGNS[n] = (sign, tuple([sign(at) for at, _ in _CELLS[n]]))
+    return held[1]
+
+
 def _memo(A: CubicMatrix) -> tuple:
     """A's per-cell memo (minors, terms), filled on first request: the
     n**3 minors from one _MINORS call, as ints, which never overflow (a
@@ -171,8 +192,8 @@ def expand(A: CubicMatrix, axis: Axis, index: int) -> ExpansionTrace:
     """One layer expansion with a full per-term trace.
 
     Every term records sign * entry * minor; the total equals the
-    determinant of A.  The sign is read per term, at call time.  The
-    minors come from A's per-cell memo (see _memo), and so does each
+    determinant of A.  The signs are read at call time (see _signs).
+    The minors come from A's per-cell memo (see _memo), and so does each
     term when the memo holds one with that sign; otherwise the term is
     built, and kept there, its entry read as CubicMatrix.get reads it
     (the Scalar a parsed or constructed matrix keeps).  A term whose
@@ -185,19 +206,19 @@ def expand(A: CubicMatrix, axis: Axis, index: int) -> ExpansionTrace:
     minors, kept = _memo(A)
     ints = A._ints
     table = _CELLS[n]
+    signs = _signs(n)
     minor_den = A._scale ** (n - 1)
     den = A._scale**n
     terms = []
     total = 0
     for f in cells:
-        at = table[f][0]
-        sign = sign_expansion(at)
+        sign = signs[f]
         contribution = sign * ints[f] * minors[f]
         total += contribution
         term = kept[f]
         if term is None or term.sign != sign:
             minor_value = Scalar(minors[f], minor_den)
-            term = kept[f] = TraceTerm(at, A._entry(f), sign, minor_value, Scalar(contribution, den))
+            term = kept[f] = TraceTerm(table[f][0], A._entry(f), sign, minor_value, Scalar(contribution, den))
         terms.append(term)
     return ExpansionTrace(axis, index, tuple(terms), Scalar(total, den))
 
@@ -210,8 +231,8 @@ def _expansion_totals(A: CubicMatrix) -> list[Scalar]:
     over _CELLS, and one _TOTALS call sums every expansion's cells.  As ints
     over A._ints, a minor is scaled by _scale**(n-1) and a contribution
     by _scale**n.  The minors are the ones expand and cofactor read,
-    from A's per-cell memo (see _memo).  The signs are read per entry,
-    at call time, as expand reads them.
+    from A's per-cell memo (see _memo).  The signs are read at call
+    time, from the table expand reads (see _signs).
 
     The one fallback: if _scale**n or any minor or contribution leaves
     64 bits, return expand_all's totals.  Otherwise only a total can
@@ -223,7 +244,7 @@ def _expansion_totals(A: CubicMatrix) -> list[Scalar]:
     if den <= _DEN_MAX:
         ints = A._ints
         minors = _memo(A)[0]
-        terms = [sign_expansion(at) * v * m for (at, _), v, m in zip(_CELLS[n], ints, minors)]
+        terms = [sign * v * m for sign, v, m in zip(_signs(n), ints, minors)]
         if _NUM_MIN <= min(minors) and max(minors) <= _NUM_MAX and _NUM_MIN <= min(terms) and max(terms) <= _NUM_MAX:
             return [Scalar(total, den) for total in _TOTALS[n](terms)]
     return [trace.total for trace in expand_all(A)]
@@ -233,15 +254,15 @@ def det_laplace(A: CubicMatrix, axis: Axis = Axis.HORIZONTAL_LAYER, index: int =
     """Determinant by recursive layer expansion.
 
     The fixed layer's entries are summed as sign * entry * minor, the
-    sign read at call time, each minor the order-(n-1) determinant by
-    the same recursion along horizontal layer 1 (any fixed choice is
-    valid since the expansions agree), from A's per-cell memo (see
-    _memo).  An order-1 matrix is its own determinant (the base case).
+    signs read at call time (see _signs), each minor the order-(n-1)
+    determinant by the same recursion along horizontal layer 1 (any
+    fixed choice is valid since the expansions agree), from A's per-cell
+    memo (see _memo).  An order-1 matrix is its own determinant (the base case).
     """
     cells = A._layer_cells(axis, index)  # validates the layer
-    n, ints, table = A.order, A._ints, _CELLS[A.order]
+    n, ints, signs = A.order, A._ints, _signs(A.order)
     minors = _memo(A)[0] if n > 1 else (1,)  # _MINORS has no order-1 kernel: its rows name no cell
-    return Scalar(sum([sign_expansion(table[f][0]) * ints[f] * minors[f] for f in cells]), A._scale**n)
+    return Scalar(sum([signs[f] * ints[f] * minors[f] for f in cells]), A._scale**n)
 
 
 def expand_all(A: CubicMatrix) -> list[ExpansionTrace]:

@@ -22,6 +22,7 @@ suite checks it against the oracle and a Fraction reference.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import islice
 
 from .core3d import (
     _AXES, _PATHS, ZERO, Axis, CubicMatrix, GenSpec, Scalar, ScalarOverflowError, ShapeError, SplitMix64, random_cubic,
@@ -147,9 +148,10 @@ def batch_verify(orders, trials: int, seed: int, range: int) -> BatchSummary:
     """cross_check over `trials` seeded matrices per order.
 
     Per-trial seeds are drawn from one splitmix64 stream over the master
-    seed, so the summary is deterministic and any failing GenSpec can be
-    regenerated standalone.  Orders, ``trials``, ``seed`` and ``range``
-    are ints (bool rejected); another type raises TypeError first.
+    seed, ``trials`` per order in turn, so the summary is deterministic
+    and any failing GenSpec can be regenerated standalone.  Orders,
+    ``trials``, ``seed`` and ``range`` are ints (bool rejected); another
+    type raises TypeError first.
     """
     orders = tuple(orders)
     for order in orders:
@@ -164,12 +166,12 @@ def batch_verify(orders, trials: int, seed: int, range: int) -> BatchSummary:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     if not 0 <= seed <= SplitMix64._MASK:
         raise ValueError(f"seed must fit in 64 bits, got {seed!r}")
-    rng = SplitMix64(seed)
+    seeds = SplitMix64(seed).outputs(trials * len(orders))
     run = 0
     failures = 0
     first_failure = None
     for order in orders:
-        for trial_seed in rng.outputs(trials):
+        for trial_seed in islice(seeds, trials):
             spec = GenSpec(order, trial_seed, range)
             try:
                 report = cross_check(random_cubic(spec))

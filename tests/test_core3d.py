@@ -315,6 +315,25 @@ class TestLayerTransforms:
         with pytest.raises(IndexError):
             example1.swap_layers(Axis.VERTICAL_PAGE, 1, 0)
 
+    def test_swap_checks_its_indices_after_its_map_is_kept(self, example1):
+        # True == 1 and 1.0 == 1 hash alike, so a lookup of the kept map
+        # for (1, 2) must not stand in for the index check.
+        swapped = example1.swap_layers(Axis.VERTICAL_PAGE, 1, 2)
+        assert example1.swap_layers(Axis.VERTICAL_PAGE, 1, 2) == swapped
+        for a, b in ((True, 2), (1, 2.0), (1.0, 2)):
+            with pytest.raises(TypeError, match="^layer index must be an int"):
+                example1.swap_layers(Axis.VERTICAL_PAGE, a, b)
+
+    def test_scale_by_minus_one_checks_the_bounds(self):
+        # -1 can push an entry past the bounds (-(-2**63)); 0 and 1 cannot.
+        A = CubicMatrix(2, [[[-(2**63), 1], [2, 3]], [[4, 5], [6, 7]]])
+        for axis in Axis:
+            with pytest.raises(ScalarOverflowError, match=f"^numerator {2**63} outside the signed 64-bit range$"):
+                A.scale_layer(axis, 1, -1)
+            assert A.scale_layer(axis, 1, 1) == A
+            assert A.scale_layer(axis, 1, 0).get(Index3(1, 1, 1)) == ZERO
+            assert A.scale_layer(axis, 2, -1).get(Index3(1, 1, 1)) == Scalar(-(2**63))
+
 
 class TestValueSemantics:
     def test_equality_and_hash(self, example1):

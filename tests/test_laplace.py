@@ -20,6 +20,7 @@ from cubicdet import (
     ShapeError,
     SignConvention,
     cofactor,
+    cross_check,
     det_laplace,
     det_permutation,
     expand,
@@ -394,22 +395,39 @@ def test_memo_answers_as_a_fresh_matrix(A):
             assert _outcome(call, shared, *args) == fresh[(call, *args)], (call, args)
 
 
-def test_expand_reads_the_sign_at_call_time(example2, monkeypatch):
-    # The memo holds entries and minors, never signs: a sign patched
-    # after an expansion shows in the next expansion of the same object,
-    # and in the next det_laplace.
+def test_expand_reads_the_sign_at_call_time(example1, example2, monkeypatch):
+    # The memo holds entries and minors, never signs, and the sign table
+    # is rebuilt when sign_expansion is rebound: a sign patched after an
+    # expansion (which fills both) shows in the next expansion of the
+    # same object, in the next det_laplace and in cross_check's totals;
+    # undoing the patch brings the true signs back.
     before = expand(example2, Axis.HORIZONTAL_LAYER, 1)
     assert example2._cell_memo is not None
     assert det_laplace(example2, Axis.VERTICAL_PAGE, 2) == Scalar(326)
+    assert det_laplace(example1, Axis.VERTICAL_LAYER, 2) == Scalar(-3)
+    true_totals = {m.order: _expansion_totals(m) for m in (example1, example2)}
     monkeypatch.setattr(laplace, "sign_expansion", lambda at: -sign_expansion(at))
     assert det_laplace(example2, Axis.VERTICAL_PAGE, 2) == det_laplace(example2) == Scalar(-326)
+    assert det_laplace(example1, Axis.VERTICAL_LAYER, 2) == Scalar(3)
     after = expand(example2, Axis.HORIZONTAL_LAYER, 1)
     assert [t.sign for t in after.terms] == [-t.sign for t in before.terms]
     assert [t.contribution for t in after.terms] == [-t.contribution for t in before.terms]
     assert [t.minor_value for t in after.terms] == [t.minor_value for t in before.terms]
     assert after.total == -before.total == Scalar(-326)
+    for m in (example1, example2):
+        paths = cross_check(m).paths
+        laplace_paths = [value for name, value in paths.items() if name.startswith("laplace:")]
+        assert laplace_paths == [-paths["permutation"]] * 3 * m.order
     # So does a cofactor read from the memo: sign -1 is patched to +1.
     assert cofactor(example2, Index3(1, 2, 3)) == minor(example2, Index3(1, 2, 3)) == Scalar(1)
+    monkeypatch.undo()
+    assert laplace.sign_expansion is sign_expansion
+    assert expand(example2, Axis.HORIZONTAL_LAYER, 1).terms == before.terms
+    assert det_laplace(example2, Axis.VERTICAL_PAGE, 2) == Scalar(326)
+    assert det_laplace(example1, Axis.VERTICAL_LAYER, 2) == Scalar(-3)
+    for m in (example1, example2):
+        assert _expansion_totals(m) == true_totals[m.order]
+        assert cross_check(m).overall
 
 
 def test_cofactor_reads_the_kept_minor(example2):

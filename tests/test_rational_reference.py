@@ -257,10 +257,12 @@ def test_transforms_match_the_reference_up_to_the_bounds(subject, c):
                 layer = layer_cells(n, axis, index)
                 expected = {at: factor * v if at in layer else v for at, v in a.items()}
                 check(lambda: A.scale_layer(axis, index, scalar(factor)), expected, layer)
+    # Every (a, b) pair, both orders of each and a == b: swap_layers
+    # keeps one map per (order, axis, a, b).
     for axis in Axis:
-        for index in range(1, n + 1):
-            one, other = layer_cells(n, axis, 1), layer_cells(n, axis, index)
-            source = {**dict(zip(one, other)), **dict(zip(other, one))}
-            check(lambda: A.swap_layers(axis, 1, index), {at: a[source.get(at, at)] for at in a}, [])
+        for one, other in itertools.product(range(1, n + 1), repeat=2):
+            cells_one, cells_other = layer_cells(n, axis, one), layer_cells(n, axis, other)
+            source = {**dict(zip(cells_one, cells_other)), **dict(zip(cells_other, cells_one))}
+            check(lambda: A.swap_layers(axis, one, other), {at: a[source.get(at, at)] for at in a}, [])
     for i, j, k in a:
         check(lambda: A.delete_sub(Index3(i + 1, j + 1, k + 1)), reference_sub(a, n, i, j, k), [])

@@ -350,6 +350,18 @@ class TestBatchVerify:
         assert summary.failures == 3
         assert summary.first_failure == GenSpec(2, SplitMix64(99).next(), 9)
 
+        # Over orders (2, 3) the trial seeds are one stream, trials per
+        # order in turn: a failure on order 3 alone names output trials + 1.
+        def fail_order_3(m):
+            return always_fail(m) if m.order == 3 else real(m)
+
+        monkeypatch.setattr(verify_mod, "cross_check", fail_order_3)
+        trials = 3
+        stream = list(SplitMix64(99).outputs(2 * trials))
+        summary = verify_mod.batch_verify((2, 3), trials=trials, seed=99, range=9)
+        assert (summary.trials, summary.failures) == (2 * trials, trials)
+        assert summary.first_failure == GenSpec(3, stream[trials], 9)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="orders"):
             batch_verify((1,), trials=1, seed=0, range=9)

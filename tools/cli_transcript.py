@@ -1,6 +1,7 @@
-"""Write the CLI transcript that tests/test_cli.py replays.
+"""Write the CLI transcript that tests/test_cli.py replays, or check it.
 
     PYTHONPATH=src python3 tools/cli_transcript.py
+    PYTHONPATH=src python3 tools/cli_transcript.py --check
 
 Runs every invocation of the corpus below in process, through
 ``cubicdet.cli.main``, and writes ``tests/data/cli_transcript.json``:
@@ -15,14 +16,23 @@ A change that alters output on purpose rewrites the transcript with
 this tool and lists every changed record; a change that alters no
 output leaves the transcript as it is, and the replay is its proof.
 Exit code 141 (a closed stdout) needs a real pipe, so it is not here.
+
+``--check`` writes nothing: it replays the committed transcript, its
+own input files and argvs, as the tier-1 test does but without pytest,
+so any interpreter that can import cubicdet can run it.  It names the
+first record that differs, with the bytes expected and got, lists the
+numbers of all that differ (0-based, as the test numbers them), and
+exits 1 if any does, else 0.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -155,20 +165,55 @@ def run(argv, stdin):
     return code, out.getvalue(), err.getvalue()
 
 
-def main() -> int:
+def replay(files, invocations):
+    """(exit code, stdout, stderr) per (argv, stdin), each run by ``run``
+    in one fresh temporary directory holding ``files``, at COLUMNS=80."""
     os.environ["COLUMNS"] = "80"
-    records = []
     here = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="cli-transcript-") as tmp:
-        for name, text in FILES.items():
+        for name, text in files.items():
             Path(tmp, name).write_text(text, encoding="utf-8", errors="surrogateescape")
         os.chdir(tmp)
         try:
-            for argv, stdin in corpus():
-                code, out, err = run(argv, stdin)
-                records.append({"argv": argv, "stdin": stdin, "code": code, "stdout": out, "stderr": err})
+            results = [run(argv, stdin) for argv, stdin in invocations]
         finally:
             os.chdir(here)
+    return results
+
+
+def check() -> int:
+    """Replay the committed transcript; 1 if any record differs."""
+    transcript = json.loads(OUT.read_text(encoding="utf-8"))
+    records = transcript["records"]
+    got = replay(transcript["files"], [(record["argv"], record["stdin"]) for record in records])
+    differ = [
+        number
+        for number, (record, result) in enumerate(zip(records, got))
+        if result != (record["code"], record["stdout"], record["stderr"])
+    ]
+    if differ:
+        record, (code, out, err) = records[differ[0]], got[differ[0]]
+        print(f"first difference: record {differ[0]}: {record['argv']} stdin={record['stdin']!r}")
+        for name, want, have in (("code", record["code"], code), ("stdout", record["stdout"], out),
+                                 ("stderr", record["stderr"], err)):
+            if want != have:
+                print(f"  {name} expected {want!r}\n  {name} got      {have!r}")
+    print(f"{len(records)} records replayed on Python {platform.python_version()}: {len(differ)} differ"
+          + (f" (records {', '.join(map(str, differ))})" if differ else ""))
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true", help="replay the committed transcript, write nothing")
+    if parser.parse_args(argv).check:
+        return check()
+    invocations = corpus()
+    results = replay(FILES, invocations)
+    records = [
+        {"argv": argv, "stdin": stdin, "code": code, "stdout": out, "stderr": err}
+        for (argv, stdin), (code, out, err) in zip(invocations, results)
+    ]
     lines = ",\n".join(json.dumps(record) for record in records)
     OUT.write_text(f'{{"files": {json.dumps(FILES)},\n"records": [\n{lines}\n]}}\n', encoding="utf-8")
     print(f"{len(records)} records written to {OUT.relative_to(ROOT)}")

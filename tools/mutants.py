@@ -106,14 +106,14 @@ MUTANTS = (
     Mutant(
         "det-laplace-unsigned",
         "src/cubicdet/laplace.py",
-        "sum([sign_expansion(table[f][0]) * ints[f] * minors[f]",
+        "sum([signs[f] * ints[f] * minors[f]",
         "sum([ints[f] * minors[f]",
     ),
     Mutant(
-        "det-laplace-sign-read-at-import",
+        "sign-table-never-rebuilt",
         "src/cubicdet/laplace.py",
-        "index: int = 1) -> Scalar:",
-        "index: int = 1, sign_expansion=sign_expansion) -> Scalar:",
+        "if held is None or held[0] is not sign:",
+        "if held is None:",
     ),
     Mutant(
         "order-0-minor-negated",
@@ -142,8 +142,20 @@ MUTANTS = (
     Mutant(
         "swap-zips-a-layer-with-itself",
         "src/cubicdet/core3d.py",
-        "pairs = zip(self._layer_cells(axis, a), self._layer_cells(axis, b))",
-        "pairs = zip(self._layer_cells(axis, a), self._layer_cells(axis, a))",
+        "for fa, fb in zip(cells_a, cells_b):",
+        "for fa, fb in zip(cells_a, cells_a):",
+    ),
+    Mutant(
+        "swap-map-pairs-a-layer-with-itself",
+        "src/cubicdet/core3d.py",
+        "source[fa], source[fb] = fb, fa",
+        "source[fa], source[fb] = fa, fa",
+    ),
+    Mutant(
+        "swap-map-found-for-a-bool-index",
+        "src/cubicdet/core3d.py",
+        "swap = _SWAPS.get(key) if type(a) is int and type(b) is int else None",
+        "swap = _SWAPS.get(key)",
     ),
     Mutant(
         "terms3-flipped-sign",
@@ -346,14 +358,42 @@ MUTANTS = (
     Mutant(
         "stream-first-shift-31",
         "src/cubicdet/core3d.py",
-        "z = ((s ^ (s >> 30)) & mask) * mix1 & mask",
-        "z = ((s ^ (s >> 31)) & mask) * mix1 & mask",
+        "z = ((s ^ (s >> 30)) & mask) * SplitMix64._MIX1 & mask",
+        "z = ((s ^ (s >> 31)) & mask) * SplitMix64._MIX1 & mask",
     ),
     Mutant(
         "stream-lanes-unmasked-after-the-first-xorshift",
         "src/cubicdet/core3d.py",
-        "z = ((s ^ (s >> 30)) & mask) * mix1 & mask",
-        "z = (s ^ (s >> 30)) * mix1 & mask",
+        "z = ((s ^ (s >> 30)) & mask) * SplitMix64._MIX1 & mask",
+        "z = (s ^ (s >> 30)) * SplitMix64._MIX1 & mask",
+    ),
+    Mutant(
+        "random-cubic-reads-the-lane-states",
+        "src/cubicdet/core3d.py",
+        "_mix(spec.seed, spec.order**3)[1]",
+        "_mix(spec.seed, spec.order**3)[0]",
+    ),
+    Mutant(
+        "scale-layer-skips-the-bounds-for-minus-one",
+        "src/cubicdet/core3d.py",
+        "changed = () if c.den == 1 and 0 <= c.num <= 1 else layer",
+        "changed = () if c.den == 1 and -1 <= c.num <= 1 else layer",
+    ),
+    Mutant(
+        "batch-seeds-restart-per-order",
+        "src/cubicdet/verify.py",
+        """    seeds = SplitMix64(seed).outputs(trials * len(orders))
+    run = 0
+    failures = 0
+    first_failure = None
+    for order in orders:
+""",
+        """    run = 0
+    failures = 0
+    first_failure = None
+    for order in orders:
+        seeds = SplitMix64(seed).outputs(trials * len(orders))
+""",
     ),
     Mutant(
         "scale-law-always-holds",
