@@ -15,8 +15,8 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# Each submodule's public names, as its own __all__ lists them (tests
-# hold the two equal), and the module that defines each name.
+# The one list of public names: each submodule's, in order.  Each
+# submodule reads its __all__ from here; _HOME maps a name to its module.
 _EXPORTS = {
     "core3d": (
         "NOT_CUBIC_MESSAGE", "ORDER_TOO_HIGH_MESSAGE", "ShapeError", "ScalarOverflowError", "Scalar",

@@ -111,7 +111,7 @@ def _cmd_det(args, parser) -> int:
     else:
         from .laplace import det_laplace, expand
 
-        axis = Axis.from_letter(args.axis or "h")
+        axis = Axis(args.axis or "h")
         index = 1 if args.index is None else args.index
         value = det_laplace(A, axis, index)
     if args.trace:
@@ -156,7 +156,7 @@ def _cmd_expand(args, parser) -> int:
     from .laplace import expand
 
     A = _load_matrix(args.file)
-    _print_trace(expand(A, Axis.from_letter(args.axis), args.index))
+    _print_trace(expand(A, Axis(args.axis), args.index))
     return 0
 
 

@@ -35,8 +35,11 @@ yields k outputs and advances it, and ``next`` takes one; a stream
 belongs to one caller.  ``_mix(state, count)`` is the one function that
 writes the mix: one pass of up to 64 outputs, each in its own 128-bit
 lane of one int, whose lane constants are built per count on first use,
-not at import.  ``outputs`` runs it pass by pass, and ``random_cubic``
-runs it once, over a fresh state, with no generator object.
+not at import.  It returns one tuple, the outputs; the states are not
+unpacked, since after i outputs a stream's state is seed + i * gamma mod
+2**64.  ``outputs`` runs it pass by pass and adds gamma to ``state``
+before each yield, and ``random_cubic`` runs it once, over a fresh
+state, with no generator object.
 
 ``swap_layers`` permutes ``_ints`` through one ``operator.itemgetter``
 per (order, axis, a, b), built on first use from ``_LAYER_FLAT`` and kept
@@ -61,21 +64,9 @@ from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
-__all__ = [
-    "NOT_CUBIC_MESSAGE",
-    "ORDER_TOO_HIGH_MESSAGE",
-    "ShapeError",
-    "ScalarOverflowError",
-    "Scalar",
-    "ZERO",
-    "ONE",
-    "Index3",
-    "Axis",
-    "CubicMatrix",
-    "SplitMix64",
-    "GenSpec",
-    "random_cubic",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["core3d"])
 
 # Wording used when input dimensions cannot form a cubic matrix or the
 # order exceeds what the determinant formulas cover.
@@ -218,9 +209,9 @@ class Index3(namedtuple("Index3", "i j k")):
 class Axis(Enum):
     """One of the three index directions of a cubic matrix.
 
-    The single-letter values are the CLI spellings: h fixes i (a
-    horizontal layer), p fixes j (a vertical page), l fixes k (a
-    vertical layer).
+    The single-letter values are the CLI spellings, and ``Axis("h")``
+    is the member of a letter: h fixes i (a horizontal layer), p fixes j
+    (a vertical page), l fixes k (a vertical layer).
     """
 
     HORIZONTAL_LAYER = "h"
@@ -228,13 +219,6 @@ class Axis(Enum):
     VERTICAL_LAYER = "l"
 
     __hash__ = object.__hash__
-
-    @classmethod
-    def from_letter(cls, letter: str) -> "Axis":
-        try:
-            return cls(letter)
-        except ValueError:
-            raise ValueError(f"unknown axis {letter!r}, expected one of h, p, l") from None
 
     @property
     def letter(self) -> str:
@@ -514,22 +498,21 @@ class SplitMix64:
         return next(self.outputs(1))
 
     def outputs(self, k: int):
-        """Yield the next k outputs, advancing the state before each:
-        one _mix pass per 64 outputs, so outputs(10**6) builds no
+        """Yield the next k outputs, advancing the state by gamma before
+        each: one _mix pass per 64 outputs, so outputs(10**6) builds no
         million-lane int."""
-        state = self.state
         while k > 0:
             count = min(k, 64)
-            states, outs = _mix(state, count)
-            for self.state, out in zip(states, outs):
+            for out in _mix(self.state, count):
+                self.state = (self.state + self._GAMMA) & self._MASK
                 yield out
-            state = states[-1]
             k -= count
 
 
 def _mix(state: int, count: int) -> tuple:
-    """The next ``count`` (1 to 64) states after ``state`` and their
-    outputs, as two tuples, from one pass.
+    """The next ``count`` (1 to 64) outputs after ``state``, as one
+    tuple, from one pass.  Output i (from 0) mixes ``state + (i + 1) *
+    gamma`` mod 2**64, the state a stream holds after yielding it.
 
     The pass mixes every output at once, SIMD within a register: output
     i lives in bits 128i to 128i+127 (its lane) of one int, and each
@@ -541,8 +524,7 @@ def _mix(state: int, count: int) -> tuple:
     s = (state * ones + steps) & mask
     z = ((s ^ (s >> 30)) & mask) * SplitMix64._MIX1 & mask
     z = ((z ^ (z >> 27)) & mask) * SplitMix64._MIX2 & mask
-    size = 16 * count
-    return unpack(s.to_bytes(size, "little")), unpack((z ^ (z >> 31)).to_bytes(size, "little"))
+    return unpack((z ^ (z >> 31)).to_bytes(16 * count, "little"))
 
 
 @lru_cache(maxsize=None)
@@ -600,5 +582,5 @@ def random_cubic(spec: GenSpec) -> CubicMatrix:
     can leave the bounds and no cell is checked; past that, every cell
     is, in order, and the first that leaves them raises Scalar's error."""
     span, r = 2 * spec.range + 1, spec.range
-    ints = [x % span - r for x in _mix(spec.seed, spec.order**3)[1]]
+    ints = [x % span - r for x in _mix(spec.seed, spec.order**3)]
     return CubicMatrix._reduced(spec.order, 1, ints, () if r <= _NUM_MAX else range(len(ints)))

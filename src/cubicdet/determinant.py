@@ -62,15 +62,10 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+from . import _EXPORTS
 from .core3d import CubicMatrix, Index3, Scalar, _flat, _index3
 
-__all__ = [
-    "det_closed",
-    "det_permutation",
-    "perm_terms",
-    "sign_expansion",
-    "sign_paper_def",
-]
+__all__ = list(_EXPORTS["determinant"])
 
 # Term tables, written as the paper writes the closed forms: each term
 # a sign and its entries a<i><j><k>, i ascending.  Transcribed literally;

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import re
 
+from . import _EXPORTS
 from .core3d import (
     NOT_CUBIC_MESSAGE,
     ORDER_TOO_HIGH_MESSAGE,
@@ -55,7 +56,7 @@ from .core3d import (
     _nested,
 )
 
-__all__ = ["ParseError", "parse_text", "serialize_text", "parse_json", "serialize_json"]
+__all__ = list(_EXPORTS["io"])
 
 
 class ParseError(ValueError):

@@ -48,20 +48,12 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 
+from . import _EXPORTS
 from .core3d import _CELLS, _DEN_MAX, _LAYER_FLAT, _NUM_MAX, _NUM_MIN, _PATHS
 from .core3d import Axis, CubicMatrix, Index3, Scalar, ShapeError
 from .determinant import _Kernels, det_closed, sign_expansion, sign_paper_def
 
-__all__ = [
-    "SignConvention",
-    "TraceTerm",
-    "ExpansionTrace",
-    "minor",
-    "cofactor",
-    "expand",
-    "det_laplace",
-    "expand_all",
-]
+__all__ = list(_EXPORTS["laplace"])
 
 
 class SignConvention(Enum):

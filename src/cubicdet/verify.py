@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import islice
 
+from . import _EXPORTS
 from .core3d import (
     _AXES, _PATHS, ZERO, Axis, CubicMatrix, GenSpec, Scalar, ScalarOverflowError, ShapeError, SplitMix64, random_cubic,
 )
@@ -31,14 +32,7 @@ from .determinant import _permutation_equals, det_closed, det_permutation
 from .io import serialize_text
 from .laplace import _expansion_totals
 
-__all__ = [
-    "VerifyReport",
-    "BatchSummary",
-    "matrix_digest",
-    "build_report",
-    "cross_check",
-    "batch_verify",
-]
+__all__ = list(_EXPORTS["verify"])
 
 # Path names of the expansion totals, per order, in _expansion_totals order.
 _LAPLACE_NAMES = {
@@ -167,7 +161,6 @@ def batch_verify(orders, trials: int, seed: int, range: int) -> BatchSummary:
     if not 0 <= seed <= SplitMix64._MASK:
         raise ValueError(f"seed must fit in 64 bits, got {seed!r}")
     seeds = SplitMix64(seed).outputs(trials * len(orders))
-    run = 0
     failures = 0
     first_failure = None
     for order in orders:
@@ -177,9 +170,8 @@ def batch_verify(orders, trials: int, seed: int, range: int) -> BatchSummary:
                 report = cross_check(random_cubic(spec))
             except ScalarOverflowError as err:
                 raise ScalarOverflowError(f"{spec}: {err}") from err
-            run += 1
             if not report.overall:
                 failures += 1
                 if first_failure is None:
                     first_failure = spec
-    return BatchSummary(run, failures, first_failure)
+    return BatchSummary(trials * len(orders), failures, first_failure)

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ settings.register_profile("cubicdet", max_examples=150, derandomize=True, deadli
 settings.load_profile("cubicdet")
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # The two worked order-2 / order-3 matrices used as golden subjects
 # throughout the suite (det -3 and det 326).
@@ -35,3 +39,17 @@ def example2() -> CubicMatrix:
 @pytest.fixture
 def data_dir() -> Path:
     return DATA
+
+
+def run_python(code: str, *argv: str) -> str:
+    """The stdout of ``python -c code *argv`` in a fresh interpreter that
+    imports this tree's package, which must exit 0 with empty stderr."""
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    return done.stdout

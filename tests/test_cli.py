@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import run_python
 from cubicdet import GenSpec, Scalar, build_report, cross_check, random_cubic, serialize_json, serialize_text
 from cubicdet.cli import _integer, main
 from cubicdet.io import _INTEGER
@@ -616,16 +617,7 @@ COMMAND_MODULES = {
 class TestStartup:
     @staticmethod
     def probe_imports(argv):
-        src = Path(__file__).resolve().parents[1] / "src"
-        done = subprocess.run(
-            [sys.executable, "-c", IMPORT_PROBE, *argv],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert (done.returncode, done.stderr) == (0, "")
-        return ast.literal_eval(done.stdout)
+        return ast.literal_eval(run_python(IMPORT_PROBE, *argv))
 
     @pytest.mark.parametrize("command", COMMAND_MODULES)
     def test_command_loads_only_what_it_runs(self, command, e2_path):
@@ -641,16 +633,7 @@ class TestStartup:
         assert self.probe_imports(["det", e2_path, "--json"])[:2] == (0, DETERMINANT)
 
     def test_cli_import_defers_costly_modules(self):
-        src = Path(__file__).resolve().parents[1] / "src"
-        done = subprocess.run(
-            [sys.executable, "-c", STARTUP_PROBE],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout == "[]\nTrue\n"
+        assert run_python(STARTUP_PROBE) == "[]\nTrue\n"
 
     def test_kernels_compile_on_first_use(self, e2_path):
         # Compiling a kernel costs far more than one loop over its rows:
@@ -659,18 +642,8 @@ class TestStartup:
         # and on its nine transforms, and each other kernel once.  A traced
         # det --method laplace looks up the minors once: det_laplace fills
         # the memo that the trace reads.
-        src = Path(__file__).resolve().parents[1] / "src"
-
         def probe(*argv):
-            done = subprocess.run(
-                [sys.executable, "-c", KERNEL_PROBE, *argv],
-                env={**os.environ, "PYTHONPATH": str(src)},
-                capture_output=True,
-                text=True,
-                timeout=60,
-            )
-            assert (done.returncode, done.stderr) == (0, "")
-            return ast.literal_eval(done.stdout)
+            return ast.literal_eval(run_python(KERNEL_PROBE, *argv))
 
         none = {"_CLOSED": [], "_PERM": [], "_MINORS": [], "_TOTALS": []}
         minors = {**none, "_MINORS": [3]}

@@ -161,12 +161,12 @@ class TestAxis:
             assert det_laplace(example2, copied, 3) == det_laplace(example2, axis, 3) == Scalar(326)
 
     def test_letters(self):
-        assert Axis.from_letter("h") is Axis.HORIZONTAL_LAYER
-        assert Axis.from_letter("p") is Axis.VERTICAL_PAGE
-        assert Axis.from_letter("l") is Axis.VERTICAL_LAYER
+        assert Axis("h") is Axis.HORIZONTAL_LAYER
+        assert Axis("p") is Axis.VERTICAL_PAGE
+        assert Axis("l") is Axis.VERTICAL_LAYER
         assert Axis.VERTICAL_PAGE.letter == "p"
         with pytest.raises(ValueError):
-            Axis.from_letter("x")
+            Axis("x")
 
 
 class TestConstruction:

@@ -1,15 +1,14 @@
-"""The package's public names: each module's __all__ is the one list."""
+"""The package's public names.  ``cubicdet._EXPORTS`` is the one list:
+each module reads its ``__all__`` from it, and these tests tie each
+list to the names its module defines and the package re-exports."""
 
 import ast
 import inspect
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import cubicdet
+from conftest import run_python
 from cubicdet import core3d, determinant, io, laplace, verify
 
 MODULES = (core3d, determinant, io, laplace, verify)
@@ -49,12 +48,6 @@ def test_package_reexports_each_defining_modules_object():
     assert set(namespace) - {"__builtins__"} == set(cubicdet.__all__)
 
 
-def test_each_name_is_mapped_to_its_defining_module():
-    # The package resolves a name through one literal map, in __all__ order.
-    assert cubicdet._EXPORTS == {m.__name__.rpartition(".")[2]: tuple(m.__all__) for m in MODULES}
-    assert cubicdet.__all__ == [*(name for m in MODULES for name in m.__all__), "__version__"]
-
-
 def test_import_loads_no_submodule():
     # In a fresh interpreter: `import cubicdet` loads no submodule, and a
     # name, or a submodule not yet imported, loads only its own module and
@@ -67,16 +60,7 @@ def test_import_loads_no_submodule():
         "print(loaded())\n"
         "print(cubicdet.laplace is sys.modules['cubicdet.laplace'], loaded())\n"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout == (
+    assert run_python(probe) == (
         "[]\n"
         "['cubicdet.core3d', 'cubicdet.determinant']\n"
         "True ['cubicdet.core3d', 'cubicdet.determinant', 'cubicdet.laplace']\n"

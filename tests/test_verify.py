@@ -55,6 +55,8 @@ class TestSplitMix64:
             assert out == stepped.next()
             assert stream.state == stepped.state
             got += 1
+            # After i outputs the state is seed + i * gamma, by definition.
+            assert stream.state == (seed + got * 0x9E3779B97F4A7C15) % 2**64
         assert got == count
         assert stream.state == stepped.state
         assert stream.next() == stepped.next()

@@ -21,6 +21,10 @@ the code: the script says which entry and exits with code 2, as it does
 for a pytest exit other than 0, 1 or 2.  It exits with code 1 if a
 mutant survives, and 0 when all are killed.
 
+After that check the mutants run on ``os.cpu_count()`` worker threads,
+each in its own copy with its own pytest process, and their results
+print in catalogue order.
+
 A change that adds a guard adds the mutant that removes it.  This is
 not part of the tier-1 suite: it runs the suite once per mutant.
 """
@@ -33,6 +37,7 @@ import subprocess
 import sys
 import tempfile
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -368,10 +373,28 @@ MUTANTS = (
         "z = (s ^ (s >> 30)) * SplitMix64._MIX1 & mask",
     ),
     Mutant(
-        "random-cubic-reads-the-lane-states",
+        "stream-state-advanced-once-per-pass",
         "src/cubicdet/core3d.py",
-        "_mix(spec.seed, spec.order**3)[1]",
-        "_mix(spec.seed, spec.order**3)[0]",
+        """            for out in _mix(self.state, count):
+                self.state = (self.state + self._GAMMA) & self._MASK
+                yield out
+""",
+        """            outs = _mix(self.state, count)
+            self.state = (self.state + count * self._GAMMA) & self._MASK
+            yield from outs
+""",
+    ),
+    Mutant(
+        "exports-drop-an-io-name",
+        "src/cubicdet/__init__.py",
+        '"io": ("ParseError", "parse_text", "serialize_text", "parse_json", "serialize_json"),',
+        '"io": ("ParseError", "parse_text", "serialize_text", "parse_json"),',
+    ),
+    Mutant(
+        "batch-count-is-trials",
+        "src/cubicdet/verify.py",
+        "return BatchSummary(trials * len(orders), failures, first_failure)",
+        "return BatchSummary(trials, failures, first_failure)",
     ),
     Mutant(
         "scale-layer-skips-the-bounds-for-minus-one",
@@ -383,13 +406,11 @@ MUTANTS = (
         "batch-seeds-restart-per-order",
         "src/cubicdet/verify.py",
         """    seeds = SplitMix64(seed).outputs(trials * len(orders))
-    run = 0
     failures = 0
     first_failure = None
     for order in orders:
 """,
-        """    run = 0
-    failures = 0
+        """    failures = 0
     first_failure = None
     for order in orders:
         seeds = SplitMix64(seed).outputs(trials * len(orders))
@@ -632,13 +653,15 @@ def main() -> int:
     survivors = 0
     try:
         _check_baseline(MUTANTS)
-        for mutant in MUTANTS:
-            failed = run_mutant(mutant)
-            if failed:
-                print(f"killed    {mutant.name} by {failed}", flush=True)
-            else:
-                survivors += 1
-                print(f"SURVIVED  {mutant.name}: the whole suite passed", flush=True)
+        with ThreadPoolExecutor(os.cpu_count()) as pool:
+            # map yields in catalogue order, and cancels the mutants not yet
+            # started if one raises StaleCatalogue.
+            for mutant, failed in zip(MUTANTS, pool.map(run_mutant, MUTANTS)):
+                if failed:
+                    print(f"killed    {mutant.name} by {failed}", flush=True)
+                else:
+                    survivors += 1
+                    print(f"SURVIVED  {mutant.name}: the whole suite passed", flush=True)
     except StaleCatalogue as err:
         print(f"stale catalogue: {err}", file=sys.stderr)
         return 2
